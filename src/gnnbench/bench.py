@@ -3,9 +3,11 @@
 An instrumented run executes the configured forward pass a number of times
 (three by default, reporting per-repeat means), timing every core-kernel
 invocation with a monotonic clock and attributing analytic operation counts
-per call. Everything that is not a core kernel (weight initialization,
-graph preprocessing, activations, per-edge scaling, bookkeeping) lands in
-the ``other`` category.
+per call. Everything else inside a forward pass (activations, per-edge
+scaling, bookkeeping) lands in the ``other`` category, so the per-kernel
+means plus ``other`` sum to ``end_to_end_ns``. One-off setup (dtype casts,
+weight initialization, graph preprocessing) runs before the measured
+repeats and is not part of any row.
 
 Timing is never part of any correctness contract: counter arithmetic and
 share normalization are asserted, wall times are merely reported. Numerical
@@ -37,14 +39,13 @@ import numpy as np
 from . import kernels, models
 from .data import DatasetRecord
 from .errors import ConsistencyError, FormatError
-from .graph import CooGraph, CsrGraph
+from .graph import CooGraph
 from .kernels import OpCounters, ReduceOp
 from .models import ModelSpec
 
 __all__ = [
     "REPORT_VERSION",
     "KERNEL_ORDER",
-    "KERNEL_SHORT_FORMS",
     "OTHER",
     "KernelStats",
     "RunReport",
@@ -60,15 +61,7 @@ __all__ = [
 
 REPORT_VERSION = "1"
 
-KERNEL_ORDER = ("index_select", "scatter", "sgemm", "spmm", "spgemm")
 OTHER = "other"
-KERNEL_SHORT_FORMS = {
-    "index_select": "is",
-    "scatter": "sc",
-    "sgemm": "sg",
-    "spmm": "sp",
-    "spgemm": "sp",
-}
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
 
@@ -105,62 +98,47 @@ class ComparisonSummary:
     kernels_only_in_b: list
 
 
+# Closed-form counters of one call, from the same arguments as the kernel.
+_COUNTERS = {
+    "index_select": lambda x, index:
+        kernels.index_select_counters(len(index), x.shape[1]),
+    "scatter": lambda src, index, n, op=ReduceOp.SUM:
+        kernels.scatter_counters(src.shape[0], src.shape[1], n, op),
+    "sgemm": lambda a, b: kernels.sgemm_counters(a.shape[0], a.shape[1], b.shape[1]),
+    "spmm": lambda a, x: kernels.spmm_counters(a.num_rows, a.nnz, x.shape[1]),
+}
+
+KERNEL_ORDER = tuple(_COUNTERS)
+
+
 class Instrumentation:
     """Kernel dispatcher that times calls and attributes operation counts.
 
-    Duck-types the :mod:`gnnbench.kernels` entry points so pipeline code can
-    run against either the bare module or an instance of this class.
+    Duck-types the :mod:`gnnbench.kernels` entry points the pipelines call
+    (one attribute per ``KERNEL_ORDER`` name) so pipeline code can run
+    against either the bare module or an instance of this class.
     """
 
     def __init__(self):
         self._calls: dict = {}
         self._ns: dict = {}
         self._counters: dict = {}
+        for name, counters_fn in _COUNTERS.items():
+            setattr(self, name,
+                    self._timed(name, getattr(kernels, name), counters_fn))
 
-    def _record(self, name: str, ns: int, counters: OpCounters):
-        self._calls[name] = self._calls.get(name, 0) + 1
-        self._ns[name] = self._ns.get(name, 0) + ns
-        self._counters[name] = self._counters.get(name, OpCounters()) + counters
+    def _timed(self, name, kernel, counters_fn):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter_ns()
+            out = kernel(*args, **kwargs)
+            dt = time.perf_counter_ns() - t0
+            self._calls[name] = self._calls.get(name, 0) + 1
+            self._ns[name] = self._ns.get(name, 0) + dt
+            self._counters[name] = (self._counters.get(name, OpCounters())
+                                    + counters_fn(*args, **kwargs))
+            return out
 
-    def index_select(self, x, index):
-        t0 = time.perf_counter_ns()
-        out = kernels.index_select(x, index)
-        dt = time.perf_counter_ns() - t0
-        self._record("index_select", dt,
-                     kernels.index_select_counters(len(index), x.shape[1]))
-        return out
-
-    def scatter(self, src, index, n, op=ReduceOp.SUM):
-        t0 = time.perf_counter_ns()
-        out = kernels.scatter(src, index, n, op)
-        dt = time.perf_counter_ns() - t0
-        self._record("scatter", dt,
-                     kernels.scatter_counters(src.shape[0], src.shape[1], n, op))
-        return out
-
-    def sgemm(self, a, b):
-        t0 = time.perf_counter_ns()
-        out = kernels.sgemm(a, b)
-        dt = time.perf_counter_ns() - t0
-        self._record("sgemm", dt,
-                     kernels.sgemm_counters(a.shape[0], a.shape[1], b.shape[1]))
-        return out
-
-    def spmm(self, a: CsrGraph, x):
-        t0 = time.perf_counter_ns()
-        out = kernels.spmm(a, x)
-        dt = time.perf_counter_ns() - t0
-        self._record("spmm", dt,
-                     kernels.spmm_counters(a.num_rows, a.nnz, x.shape[1]))
-        return out
-
-    def spgemm(self, a: CsrGraph, b: CsrGraph):
-        work = kernels.spgemm_work(a, b)
-        t0 = time.perf_counter_ns()
-        out = kernels.spgemm(a, b)
-        dt = time.perf_counter_ns() - t0
-        self._record("spgemm", dt, kernels.spgemm_counters(work, a.nnz, out.nnz))
-        return out
+        return call
 
     def snapshot(self) -> dict:
         return {
@@ -192,12 +170,10 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
     dtype = _DTYPES[precision]
     record = dataset if dataset is not None else _synthesize_record(g, x)
 
-    setup_t0 = time.perf_counter_ns()
     g = g.astype(dtype)
     x = np.ascontiguousarray(np.asarray(x), dtype=dtype)
     params = [p.astype(dtype) for p in models.init_weights(spec)]
     ctx = models.prepare(spec, g)
-    setup_ns = time.perf_counter_ns() - setup_t0
 
     for _ in range(warmup):
         models.forward(spec, params, g, x, ctx=ctx)
@@ -232,8 +208,7 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
 
     names = [k for k in KERNEL_ORDER if k in first]
     kernel_total_ns = {k: sum(s[k][1] for s in snapshots) for k in names}
-    forward_total_ns = sum(repeat_ns)
-    total_ns = setup_ns + forward_total_ns
+    total_ns = sum(repeat_ns)
     other_ns = total_ns - sum(kernel_total_ns.values())
 
     per_kernel = [
@@ -265,7 +240,7 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
         spec=spec_summary,
         dataset=record.summary(),
         repeats=repeats,
-        end_to_end_ns=forward_total_ns / repeats,
+        end_to_end_ns=total_ns / repeats,
         per_kernel=per_kernel,
         time_share=time_share,
         op_share=op_share,

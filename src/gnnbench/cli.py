@@ -22,9 +22,10 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import io
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .graph import DEFAULT_DENSE_LIMIT
+from .rng import MASK64
 
 __all__ = ["CliConfig", "parse_config", "run", "main"]
 
@@ -83,7 +85,7 @@ _CHOICES = {
 }
 
 
-@dataclass
+@dataclasses.dataclass
 class CliConfig:
     model: str
     comp: str
@@ -100,14 +102,23 @@ class CliConfig:
     warmup: int
 
 
-def _parse_int(key: str, value, minimum: Optional[int] = None) -> int:
+def _parse_int(key: str, value, minimum: Optional[int] = None,
+               maximum: Optional[int] = None) -> int:
     try:
         out = int(str(value), 0)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     if minimum is not None and out < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {out}")
+    if maximum is not None and out > maximum:
+        raise ConfigError(f"{key}: must be <= {maximum}, got {out}")
     return out
+
+
+def _parse_seed(key: str, value) -> int:
+    # random streams keep only the low 64 bits of a seed, so a larger one
+    # would repeat a smaller seed's data under a different recorded value
+    return _parse_int(key, value, minimum=0, maximum=MASK64)
 
 
 def _parse_float(key: str, value) -> float:
@@ -135,7 +146,7 @@ _FIELD_PARSERS = {
     "epsilon": _parse_float,
     "activation": _parse_choice,
     "repeats": lambda k, v: _parse_int(k, v, minimum=1),
-    "seed": lambda k, v: _parse_int(k, v, minimum=0),
+    "seed": _parse_seed,
     "precision": _parse_choice,
     "output": lambda k, v: str(v),
     "format": _parse_choice,
@@ -204,8 +215,11 @@ def parse_config(argv, config_file: Optional[str] = None) -> CliConfig:
     ``config_file`` is a fallback path (normally from ``GSUITE_CONFIG``);
     an explicit ``--config`` flag wins over it.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _resolve_config(build_parser().parse_args(argv), config_file)
+
+
+def _resolve_config(args: argparse.Namespace,
+                    config_file: Optional[str]) -> CliConfig:
     if args.command == "datasets":
         raise ConfigError("datasets subcommand takes no pipeline configuration")
 
@@ -223,11 +237,8 @@ def parse_config(argv, config_file: Optional[str] = None) -> CliConfig:
             resolved[key] = _DEFAULTS[key]
     cfg = CliConfig(**resolved)
 
-    if cfg.model == "sage" and cfg.comp == "spmm":
-        raise ConfigError(
-            "sage supports only the mp computational model; there is no "
-            "spmm formulation of sage"
-        )
+    if (models.Model(cfg.model), models.CompModel(cfg.comp)) not in models.PIPELINES:
+        raise ConfigError(f"{cfg.model} has no {cfg.comp} formulation")
     _classify_dataset(cfg.dataset)  # fail fast on malformed dataset syntax
     return cfg
 
@@ -247,7 +258,7 @@ def _classify_dataset(spec_str: str):
         p = _parse_float("dataset p", parts[2])
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"dataset p must be in [0, 1], got {p}")
-        seed = _parse_int("dataset seed", parts[3], minimum=0)
+        seed = _parse_seed("dataset seed", parts[3])
         f = (_parse_int("dataset f", parts[4], minimum=1)
              if len(parts) == 5 else DEFAULT_SYNTHETIC_FEATURES)
         return "er", (n, p, seed, f)
@@ -315,13 +326,13 @@ def run(cfg: CliConfig) -> int:
     )
     # serialize fully before touching the sink so a failed run never leaves
     # a partial report behind
-    text = (bench.report_to_json(report) if cfg.format == "json"
-            else bench.report_to_csv(report))
+    text = io.StringIO()
+    bench.emit_report(report, cfg.format, text)
     if cfg.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     else:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
     return EXIT_OK
 
 
@@ -349,20 +360,18 @@ def check(cfg: CliConfig) -> int:
                           "two executions are bitwise identical" if same
                           else "outputs differ between executions")
 
-    if cfg.model in ("gcn", "gin"):
-        other_comp = "spmm" if cfg.comp == "mp" else "mp"
-        spec_b = models.ModelSpec(
-            spec.model, models.CompModel(other_comp), spec.num_layers,
-            spec.dims, spec.activation, spec.epsilon, spec.seed,
-        )
+    others = [c for c in models.CompModel
+              if c is not spec.comp_model and (spec.model, c) in models.PIPELINES]
+    for other in others:
+        spec_b = dataclasses.replace(spec, comp_model=other)
         out_b = models.forward(spec_b, params, g_t, x_t)
         diff = float(np.max(np.abs(out1 - out_b))) if out1.size else 0.0
         all_ok &= _check_line(
-            diff <= tol, f"cross-model {cfg.comp} vs {other_comp}",
+            diff <= tol, f"cross-model {cfg.comp} vs {other.value}",
             f"max abs diff {diff:.3e} (tolerance {tol:.0e})",
         )
-    else:
-        print("SKIP cross-model: sage has a single computational model")
+    if not others:
+        print(f"SKIP cross-model: {cfg.model} has a single computational model")
 
     if g.num_nodes <= DEFAULT_DENSE_LIMIT:
         ref = reference.dense_forward(spec, params, g, np.asarray(x, np.float64))
@@ -396,11 +405,10 @@ _DATA_ERRORS = (FormatError, ParseError, ShapeError, IndexRangeError,
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "datasets":
             return datasets()
-        cfg = parse_config(argv, config_file=os.environ.get(CONFIG_ENV_VAR))
+        cfg = _resolve_config(args, os.environ.get(CONFIG_ENV_VAR))
         if args.command == "run":
             return run(cfg)
         return check(cfg)

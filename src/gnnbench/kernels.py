@@ -130,7 +130,11 @@ def spgemm_work(a: CsrGraph, b: CsrGraph) -> int:
 
 
 def _check_index(index: np.ndarray, n: int) -> np.ndarray:
-    index = np.asarray(index, dtype=np.int64)
+    index = np.asarray(index)
+    # an empty list arrives as float64, which holds no value to truncate
+    if index.dtype.kind not in "iu" and index.size:
+        raise IndexRangeError(f"index must be integers, got dtype {index.dtype}")
+    index = index.astype(np.int64, copy=False)
     if index.ndim != 1:
         raise IndexRangeError("index must be one-dimensional")
     bad = np.flatnonzero((index < 0) | (index >= n))
@@ -146,7 +150,7 @@ def index_select(x: np.ndarray, index) -> np.ndarray:
     """Gather: output row k is a copy of ``x[index[k]]``."""
     x = np.asarray(x)
     index = _check_index(index, x.shape[0])
-    return x[index].copy()
+    return x[index]
 
 
 def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,8 @@ __all__ = [
     "ModelSpec",
     "LayerParams",
     "PipelineContext",
+    "Pipeline",
+    "PIPELINES",
     "init_weights",
     "prepare",
     "forward",
@@ -135,10 +137,11 @@ class ModelSpec:
             )
         if any(d < 1 for d in self.dims):
             raise ConfigError("feature widths must be positive")
-        if self.model is Model.SAGE and self.comp_model is CompModel.SPMM:
+        if (self.model, self.comp_model) not in PIPELINES:
             raise ConfigError(
-                "sage has no spmm formulation; it is implemented under the "
-                "mp computational model only"
+                f"{self.model.value} has no {self.comp_model.value} "
+                "formulation; implemented pipelines: "
+                + ", ".join(f"{m.value}-{c.value}" for m, c in PIPELINES)
             )
 
     def summary(self) -> dict:
@@ -174,11 +177,6 @@ class LayerParams:
                            self.epsilon)
 
 
-_ROLE_THETA = 0
-_ROLE_W1 = 1
-_ROLE_W2 = 2
-
-
 def _draw_matrix(seed: int, layer: int, role: int, f_in: int, f_out: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(f_in)
     u = uniform_array(mix_key(seed, layer, role), f_in * f_out)
@@ -192,20 +190,13 @@ def init_weights(spec: ModelSpec) -> list:
     keyed by (seed, layer index, matrix role), so identical specs yield
     bit-identical weights and different seeds decorrelate.
     """
+    weights = PIPELINES[spec.model, spec.comp_model].weights
     params = []
     for layer in range(spec.num_layers):
         f_in, f_out = spec.dims[layer], spec.dims[layer + 1]
-        if spec.model is Model.SAGE:
-            params.append(LayerParams(
-                w1=_draw_matrix(spec.seed, layer, _ROLE_W1, f_in, f_out),
-                w2=_draw_matrix(spec.seed, layer, _ROLE_W2, f_in, f_out),
-                epsilon=spec.epsilon,
-            ))
-        else:
-            params.append(LayerParams(
-                theta=_draw_matrix(spec.seed, layer, _ROLE_THETA, f_in, f_out),
-                epsilon=spec.epsilon,
-            ))
+        mats = {name: _draw_matrix(spec.seed, layer, role, f_in, f_out)
+                for name, role in weights}
+        params.append(LayerParams(**mats, epsilon=spec.epsilon))
     return params
 
 
@@ -229,7 +220,7 @@ class PipelineContext:
     adj: Optional[CsrGraph] = None
 
 
-def _gcn_mp_context(g: CooGraph) -> PipelineContext:
+def _gcn_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     # per-edge message scale: edge weight times 1/sqrt(d_src * d_dst), so
     # weighted graphs stay equivalent to the normalized-adjacency route
     looped = add_self_loops(g)
@@ -238,23 +229,71 @@ def _gcn_mp_context(g: CooGraph) -> PipelineContext:
                            coeff=coeff * looped.weights)
 
 
-def prepare(spec: ModelSpec, g: CooGraph) -> PipelineContext:
-    """Precompute the edge structures the selected pipeline needs."""
-    if spec.comp_model is CompModel.SPMM:
-        if spec.model is Model.GCN:
-            return PipelineContext(adj=normalized_adjacency(g))
-        return PipelineContext(adj=gin_operator(g, spec.epsilon))
-    if spec.model is Model.GCN:
-        return _gcn_mp_context(g)
-    if spec.model is Model.SAGE:
-        looped = add_self_loops(g)
-        return PipelineContext(src=looped.src, dst=looped.dst)
+def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
+    return PipelineContext(adj=normalized_adjacency(g))
+
+
+def _gin_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     return PipelineContext(src=g.src, dst=g.dst, coeff=g.weights)
 
 
-def _kernel_backend(instr):
-    # Instrumented runs pass an object duck-typing the kernels module.
-    return kernels if instr is None else instr
+def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
+    return PipelineContext(adj=gin_operator(g, epsilon))
+
+
+def _sage_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
+    looped = add_self_loops(g)
+    return PipelineContext(src=looped.src, dst=looped.dst)
+
+
+# ``k`` is the kernel backend: the kernels module itself, or an object
+# duck-typing it (instrumented runs).
+def _gcn_mp_apply(ctx, n, x, p, act, k):
+    y = k.sgemm(x, p.theta)
+    msgs = ctx.coeff[:, None] * k.index_select(y, ctx.src)
+    return apply_activation(k.scatter(msgs, ctx.dst, n, ReduceOp.SUM), act)
+
+
+def _spmm_apply(ctx, n, x, p, act, k):
+    return apply_activation(k.sgemm(k.spmm(ctx.adj, x), p.theta), act)
+
+
+def _gin_mp_apply(ctx, n, x, p, act, k):
+    msgs = ctx.coeff[:, None] * k.index_select(x, ctx.src)
+    agg = k.scatter(msgs, ctx.dst, n, ReduceOp.SUM)
+    return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
+
+
+def _sage_mp_apply(ctx, n, x, p, act, k):
+    mean = k.scatter(k.index_select(x, ctx.src), ctx.dst, n, ReduceOp.MEAN)
+    return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2), act)
+
+
+class Pipeline(NamedTuple):
+    """How one (model, computational model) pair is built and run."""
+
+    prepare: Callable  # (g, epsilon) -> PipelineContext
+    apply: Callable    # (ctx, num_nodes, x, params, activation, kernels) -> x'
+    weights: tuple     # (LayerParams field, weight stream role) per matrix
+
+
+# The role ids key the weight streams, so they must never change.
+_THETA = (("theta", 0),)
+_SELF_AND_NEIGHBOR = (("w1", 1), ("w2", 2))
+
+PIPELINES = {
+    (Model.GCN, CompModel.MP): Pipeline(_gcn_mp_context, _gcn_mp_apply, _THETA),
+    (Model.GCN, CompModel.SPMM): Pipeline(_gcn_spmm_context, _spmm_apply, _THETA),
+    (Model.GIN, CompModel.MP): Pipeline(_gin_mp_context, _gin_mp_apply, _THETA),
+    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_context, _spmm_apply, _THETA),
+    (Model.SAGE, CompModel.MP): Pipeline(_sage_mp_context, _sage_mp_apply,
+                                         _SELF_AND_NEIGHBOR),
+}
+
+
+def prepare(spec: ModelSpec, g: CooGraph) -> PipelineContext:
+    """Precompute the edge structures the selected pipeline needs."""
+    return PIPELINES[spec.model, spec.comp_model].prepare(g, spec.epsilon)
 
 
 def _check_rows(g: CooGraph, x: np.ndarray):
@@ -264,85 +303,54 @@ def _check_rows(g: CooGraph, x: np.ndarray):
         )
 
 
-def _gcn_mp_apply(ctx, n, x, p, act, instr):
-    k = _kernel_backend(instr)
-    y = k.sgemm(x, p.theta)
-    msgs = ctx.coeff[:, None] * k.index_select(y, ctx.src)
-    return apply_activation(k.scatter(msgs, ctx.dst, n, ReduceOp.SUM), act)
+def _single_layer(model: str, comp: str, doc: str):
+    pipeline = PIPELINES[Model(model), CompModel(comp)]
+
+    def layer(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
+              instr=None) -> np.ndarray:
+        _check_rows(g, x)
+        ctx = pipeline.prepare(g, p.epsilon)
+        return pipeline.apply(ctx, g.num_nodes, x, p, act,
+                              kernels if instr is None else instr)
+
+    layer.__name__ = layer.__qualname__ = f"{model}_layer_{comp}"
+    layer.__doc__ = doc
+    return layer
 
 
-def _spmm_apply(ctx, x, p, act, instr):
-    k = _kernel_backend(instr)
-    return apply_activation(k.sgemm(k.spmm(ctx.adj, x), p.theta), act)
+gcn_layer_mp = _single_layer("gcn", "mp", """One GCN layer under message
+    passing (self-loops inserted internally).""")
+gcn_layer_spmm = _single_layer("gcn", "spmm", """One GCN layer as
+    normalized-adjacency times features times weights.""")
+gin_layer_mp = _single_layer("gin", "mp", """One GIN layer under message
+    passing over the raw edge list.""")
+gin_layer_spmm = _single_layer("gin", "spmm", """One GIN layer as
+    ``(A + (1 + eps) I) @ X @ Theta``.""")
+sage_layer_mp = _single_layer("sage", "mp", """One GraphSAGE layer; neighbor
+    mean is over N(v) plus the node itself.""")
 
 
-def _gin_mp_apply(ctx, n, x, p, act, instr):
-    k = _kernel_backend(instr)
-    msgs = ctx.coeff[:, None] * k.index_select(x, ctx.src)
-    agg = k.scatter(msgs, ctx.dst, n, ReduceOp.SUM)
-    return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
-
-
-def _sage_mp_apply(ctx, n, x, p, act, instr):
-    k = _kernel_backend(instr)
-    mean = k.scatter(k.index_select(x, ctx.src), ctx.dst, n, ReduceOp.MEAN)
-    return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2), act)
-
-
-def gcn_layer_mp(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-                 instr=None) -> np.ndarray:
-    """One GCN layer under message passing (self-loops inserted internally)."""
-    _check_rows(g, x)
-    return _gcn_mp_apply(_gcn_mp_context(g), g.num_nodes, x, p, act, instr)
-
-
-def gcn_layer_spmm(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-                   instr=None) -> np.ndarray:
-    """One GCN layer as normalized-adjacency times features times weights."""
-    _check_rows(g, x)
-    ctx = PipelineContext(adj=normalized_adjacency(g))
-    return _spmm_apply(ctx, x, p, act, instr)
-
-
-def gin_layer_mp(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-                 instr=None) -> np.ndarray:
-    """One GIN layer under message passing over the raw edge list."""
-    _check_rows(g, x)
-    ctx = PipelineContext(src=g.src, dst=g.dst, coeff=g.weights)
-    return _gin_mp_apply(ctx, g.num_nodes, x, p, act, instr)
-
-
-def gin_layer_spmm(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-                   instr=None) -> np.ndarray:
-    """One GIN layer as ``(A + (1 + eps) I) @ X @ Theta``."""
-    _check_rows(g, x)
-    ctx = PipelineContext(adj=gin_operator(g, p.epsilon))
-    return _spmm_apply(ctx, x, p, act, instr)
-
-
-def sage_layer_mp(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-                  instr=None) -> np.ndarray:
-    """One GraphSAGE layer; neighbor mean is over N(v) plus the node itself."""
-    _check_rows(g, x)
-    looped = add_self_loops(g)
-    ctx = PipelineContext(src=looped.src, dst=looped.dst)
-    return _sage_mp_apply(ctx, g.num_nodes, x, p, act, instr)
-
-
-def _check_params(spec: ModelSpec, params: Sequence[LayerParams]):
+def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]):
     if len(params) != spec.num_layers:
         raise ShapeError(
             f"expected {spec.num_layers} layer params, got {len(params)}"
         )
     for i, p in enumerate(params):
         want = (spec.dims[i], spec.dims[i + 1])
-        mats = (p.w1, p.w2) if spec.model is Model.SAGE else (p.theta,)
-        for m in mats:
+        for name, _ in weights:
+            m = getattr(p, name)
             if m is None or m.shape != want:
                 got = None if m is None else m.shape
                 raise ShapeError(
                     f"layer {i} weight shape {got} breaks dims chain {want}"
                 )
+        # identity first, as container equality does, so that a NaN epsilon
+        # handed out by init_weights still matches its spec
+        if p.epsilon is not spec.epsilon and p.epsilon != spec.epsilon:
+            raise ConfigError(
+                f"layer {i} epsilon {p.epsilon} differs from the spec's "
+                f"epsilon {spec.epsilon}"
+            )
 
 
 def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
@@ -352,25 +360,20 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
 
     The activation is applied after every layer including the last. Edge
     structures are computed once (or taken from a caller-supplied ``ctx``)
-    and reused across layers.
+    and reused across layers. Every layer's ``epsilon`` must equal the
+    spec's, which is the one the edge structures are built with.
     """
     _check_rows(g, x)
     if x.shape[1] != spec.dims[0]:
         raise ShapeError(
             f"input feature width {x.shape[1]} != dims[0] = {spec.dims[0]}"
         )
-    _check_params(spec, params)
+    pipeline = PIPELINES[spec.model, spec.comp_model]
+    _check_params(spec, pipeline.weights, params)
     if ctx is None:
-        ctx = prepare(spec, g)
-    n = g.num_nodes
+        ctx = pipeline.prepare(g, spec.epsilon)
+    k = kernels if instr is None else instr
     h = x
     for p in params:
-        if spec.comp_model is CompModel.SPMM:
-            h = _spmm_apply(ctx, h, p, spec.activation, instr)
-        elif spec.model is Model.GCN:
-            h = _gcn_mp_apply(ctx, n, h, p, spec.activation, instr)
-        elif spec.model is Model.GIN:
-            h = _gin_mp_apply(ctx, n, h, p, spec.activation, instr)
-        else:
-            h = _sage_mp_apply(ctx, n, h, p, spec.activation, instr)
+        h = pipeline.apply(ctx, g.num_nodes, h, p, spec.activation, k)
     return h

@@ -95,6 +95,17 @@ class TestInstrumentedRun:
         _, _, _, report = small_run
         assert sum(report.time_share.values()) == pytest.approx(100.0, abs=0.1)
 
+    @pytest.mark.parametrize("repeats", [1, 10])
+    def test_rows_sum_to_end_to_end(self, repeats):
+        # one-off setup (casts, weight init, prepare) is not in any row, so
+        # the kernel rows plus other cover exactly the measured forwards
+        g = gen_er_graph(64, 0.1, 1)
+        x = gen_features(64, 8, 1)
+        report = instrumented_run(make_spec(comp="spmm", dims=(8, 8)), g, x,
+                                  repeats=repeats)
+        total = sum(s.wall_time_ns for s in report.per_kernel)
+        assert total == pytest.approx(report.end_to_end_ns, rel=1e-9)
+
     def test_mp_kernel_set(self, small_run):
         _, _, _, report = small_run
         names = [s.kernel for s in report.per_kernel]

@@ -102,6 +102,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no.*spmm formulation"):
             cli.parse_config(["run", "--model", "sage", "--comp", "spmm"])
 
+    def test_seed_beyond_64_bits_rejected(self, capsys):
+        # streams keep only the low 64 bits, so 5 + 2**64 would silently
+        # reuse seed 5's data under another recorded seed
+        assert cli.parse_config(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+        with pytest.raises(ConfigError, match="seed"):
+            cli.parse_config(["run", "--seed", str(5 + 2**64)])
+        with pytest.raises(ConfigError, match="seed"):
+            cli.parse_config(["run", "--dataset", f"er:8:0.3:{5 + 2**64}"])
+        assert cli.main(["run", "--seed", str(2**64)]) == 2
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["run", "--bogus", "1"])

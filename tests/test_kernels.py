@@ -62,6 +62,14 @@ class TestIndexSelect:
         with pytest.raises(IndexRangeError, match=r"index\[1\] = 2"):
             index_select(x, [0, 2])
 
+    def test_float_index_rejected(self):
+        # a float index must not be silently truncated to rows 1 and 0
+        x = np.array([[1.0], [2.0], [3.0]])
+        with pytest.raises(IndexRangeError, match="integers"):
+            index_select(x, np.array([1.7, 0.2]))
+        with pytest.raises(IndexRangeError, match="integers"):
+            scatter(x, np.array([0.0, 1.0, 1.0]), 2, ReduceOp.SUM)
+
     def test_matches_reference(self):
         x = rand((6, 4), 3)
         idx = [5, 0, 0, 3, 2]

@@ -257,6 +257,17 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(spec, init_weights(spec), coo(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("comp", ["mp", "spmm"])
+    def test_params_epsilon_must_match_spec(self, comp):
+        # hand-built params with another epsilon would make GIN-MP (which
+        # reads the params) and GIN-SpMM (which reads the spec) disagree
+        g = gen_er_graph(32, 0.2, 1)
+        x = gen_features(32, 4, 1)
+        spec = spec_for("gin", comp, (4, 4), eps=0.0)
+        (p,) = init_weights(spec)
+        with pytest.raises(ConfigError, match="epsilon"):
+            forward(spec, [LayerParams(p.theta, epsilon=0.5)], g, x)
+
     def test_output_shape(self):
         g = gen_er_graph(12, 0.2, 3)
         x = gen_features(12, 5, 2)
