@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FormatError, ParseError
 from .graph import CooGraph
-from .rng import mix_key, uniform_array
+from .rng import GOLDEN, MASK64, mix_key, uniform_array
 
 __all__ = [
     "DatasetRecord",
@@ -40,6 +40,9 @@ __all__ = [
 # Stream key context for feature generation, decorrelating it from the
 # edge stream of the same seed.
 _FEATURES_ROLE = 0x66656174  # "feat"
+
+# Ordered pairs drawn per block by the Erdos-Renyi generator.
+_ER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,13 +184,16 @@ def gen_er_graph(n: int, p: float, seed: int) -> CooGraph:
     if num_pairs == 0:
         return CooGraph(n, np.zeros(0, np.int64), np.zeros(0, np.int64),
                         np.zeros(0, np.float64))
-    draws = uniform_array(seed, num_pairs)
-    u = np.repeat(np.arange(n, dtype=np.int64), n - 1)
-    pos = np.tile(np.arange(n - 1, dtype=np.int64), n)
-    v = pos + (pos >= u)  # skip the diagonal within each row
-    keep = draws < p
-    src = u[keep]
-    dst = v[keep]
+    # The stream is counter-based, so a block starting at pair ``start`` is
+    # the stream keyed on the state after ``start`` steps; working block by
+    # block bounds memory without changing a single draw.
+    kept = []
+    for start in range(0, num_pairs, _ER_BLOCK):
+        count = min(_ER_BLOCK, num_pairs - start)
+        draws = uniform_array((seed + start * GOLDEN) & MASK64, count)
+        kept.append(np.flatnonzero(draws < p) + start)
+    src, pos = np.divmod(np.concatenate(kept), n - 1)
+    dst = pos + (pos >= src)  # skip the diagonal within each row
     return CooGraph(n, src, dst, np.ones(len(src), dtype=np.float64))
 
 

@@ -79,6 +79,9 @@ class CooGraph:
             raise FormatError("src index out of range [0, num_nodes)")
         if len(dst) and (dst.min() < 0 or dst.max() >= self.num_nodes):
             raise FormatError("dst index out of range [0, num_nodes)")
+        if not np.isfinite(weights).all():
+            k = int(np.flatnonzero(~np.isfinite(weights))[0])
+            raise FormatError(f"edge {k} has non-finite weight {weights[k]}")
 
     @property
     def num_edges(self) -> int:
@@ -204,12 +207,17 @@ def coo_to_csr(g: CooGraph, orientation: str = "by_dst_rows") -> CsrGraph:
         return CsrGraph(n, n, np.zeros(n + 1, dtype=np.int64),
                         np.zeros(0, dtype=np.int64),
                         np.zeros(0, dtype=g.weights.dtype))
-    pairs = np.stack([g.dst, g.src], axis=1)
-    unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    values = np.zeros(len(unique_pairs), dtype=g.weights.dtype)
-    np.add.at(values, inverse.ravel(), g.weights)
-    rows = unique_pairs[:, 0]
-    cols = unique_pairs[:, 1]
+    # stable: duplicates of a pair stay in edge order
+    order = np.lexsort((g.src, g.dst))
+    rows = g.dst[order]
+    cols = g.src[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    # accumulated into zeros, so a lone -0.0 weight coalesces to +0.0
+    values = np.zeros(int(np.count_nonzero(first)), dtype=g.weights.dtype)
+    np.add.at(values, np.cumsum(first) - 1, g.weights[order])
+    rows = rows[first]
+    cols = cols[first]
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     return CsrGraph(n, n, row_ptr, cols, values)

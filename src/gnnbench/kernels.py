@@ -12,6 +12,16 @@ order is fixed (ascending edge index, or CSR storage order) regardless of
 how the work might be partitioned, so repeated runs on identical inputs
 produce identical bytes.
 
+``scatter`` (sum and mean), ``spmm`` and ``sgemm`` share one primitive, a
+CSR-times-dense product evaluated by ``scipy.sparse``: each output row
+starts from zero and adds ``values[t] * x[col_idx[t]]`` for its entries
+``t`` in storage order, one rounding per multiply and per add. ``spmm``
+passes its matrix as is; ``scatter`` passes the destination-sorted edge
+permutation with unit values, which keeps ascending edge order within each
+destination; ``sgemm`` passes its left operand as a dense CSR that keeps
+explicit zeros, so ``inf * 0`` still yields NaN and the inner dimension is
+summed in ascending order, as in the scalar triple loop.
+
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
 of the cost model (a portable stand-in for instruction-level profiling):
@@ -37,6 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
 from .errors import IndexRangeError, ShapeError
 from .graph import CsrGraph
@@ -129,6 +140,29 @@ def spgemm_work(a: CsrGraph, b: CsrGraph) -> int:
     return int(np.diff(b.row_ptr)[a.col_idx].sum())
 
 
+# Element types scipy's sparsetools loops are compiled for; it upcasts any
+# other (float16 to float32), which would change the result dtype.
+_SPARSETOOLS_TYPES = frozenset("?bBhHiIlLqQfdgFDG")
+
+
+def _csr_matmul(row_ptr: np.ndarray, col_idx: np.ndarray, values: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the CSR matrix ``A = (row_ptr, col_idx, values)``.
+
+    Row ``i`` of the result starts from zero and adds ``values[t] *
+    x[col_idx[t]]`` for ``t`` from ``row_ptr[i]`` up to ``row_ptr[i + 1]``,
+    in that order. Operands are cast to ``np.result_type(values, x)`` first,
+    as numpy's mixed-type arithmetic does.
+    """
+    dtype = np.result_type(values, x)
+    if dtype.char not in _SPARSETOOLS_TYPES:
+        raise TypeError(f"no sparse product kernel for dtype {dtype}")
+    a = scipy.sparse.csr_array(
+        (values.astype(dtype, copy=False), col_idx, row_ptr),
+        shape=(len(row_ptr) - 1, x.shape[0]))
+    return a @ x.astype(dtype, copy=False)
+
+
 def _check_index(index: np.ndarray, n: int) -> np.ndarray:
     index = np.asarray(index)
     # an empty list arrives as float64, which holds no value to truncate
@@ -169,19 +203,21 @@ def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM) -> np.n
         raise ShapeError(
             f"index length {len(index)} != source rows {src.shape[0]}"
         )
-    f = src.shape[1]
+    counts = np.bincount(index, minlength=n)
     if op is ReduceOp.SUM or op is ReduceOp.MEAN:
-        out = np.zeros((n, f), dtype=src.dtype)
-        np.add.at(out, index, src)
+        row_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=row_ptr[1:])
+        # a stable sort keeps ascending k within each destination
+        order = np.argsort(index, kind="stable")
+        out = _csr_matmul(row_ptr, order, np.ones(len(index), dtype=src.dtype), src)
         if op is ReduceOp.MEAN:
-            counts = np.bincount(index, minlength=n)
             received = counts > 0
             out[received] /= counts[received, None].astype(src.dtype)
         return out
     if op is ReduceOp.MAX:
-        out = np.full((n, f), -np.inf, dtype=src.dtype)
+        out = np.full((n, src.shape[1]), -np.inf, dtype=src.dtype)
         np.maximum.at(out, index, src)
-        out[np.bincount(index, minlength=n) == 0] = 0
+        out[counts == 0] = 0
         return out
     raise ValueError(f"unknown reduce op {op!r}")
 
@@ -189,18 +225,18 @@ def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM) -> np.n
 def sgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense matrix product with fixed accumulation order.
 
-    Evaluated as a sequence of rank-1 updates over the inner dimension in
-    ascending order, which is bit-identical to the scalar triple loop
-    ``out[i][j] += a[i][k] * b[k][j]`` with k innermost and ascending.
+    ``a`` enters the sparse product as a CSR matrix holding every entry,
+    zeros included, so the result is bit-identical to the scalar triple
+    loop ``out[i][j] += a[i][k] * b[k][j]`` with k innermost and ascending.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"sgemm shape mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[None, k, :]
-    return out
+    m, k = a.shape
+    row_ptr = np.arange(m + 1, dtype=np.int64) * k
+    col_idx = np.tile(np.arange(k, dtype=np.int64), m)
+    return _csr_matmul(row_ptr, col_idx, a.ravel(), b)
 
 
 def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
@@ -213,10 +249,7 @@ def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"spmm shape mismatch: {a.num_rows}x{a.num_cols} x {x.shape}"
         )
-    out = np.zeros((a.num_rows, x.shape[1]), dtype=np.result_type(a.values, x))
-    rows = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
-    np.add.at(out, rows, a.values[:, None] * x[a.col_idx])
-    return out
+    return _csr_matmul(a.row_ptr, a.col_idx, a.values, x)
 
 
 def spgemm(a: CsrGraph, b: CsrGraph) -> CsrGraph:

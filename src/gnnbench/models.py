@@ -137,6 +137,8 @@ class ModelSpec:
             )
         if any(d < 1 for d in self.dims):
             raise ConfigError("feature widths must be positive")
+        if not np.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if (self.model, self.comp_model) not in PIPELINES:
             raise ConfigError(
                 f"{self.model.value} has no {self.comp_model.value} "
@@ -220,13 +222,21 @@ class PipelineContext:
     adj: Optional[CsrGraph] = None
 
 
+def _mp_context(src, dst, coeff=None) -> PipelineContext:
+    # edges sorted by destination, stably, so each destination keeps its
+    # edges in ascending order and scatter's own stable sort runs on
+    # sorted input
+    order = np.argsort(dst, kind="stable")
+    return PipelineContext(src=src[order], dst=dst[order],
+                           coeff=None if coeff is None else coeff[order])
+
+
 def _gcn_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     # per-edge message scale: edge weight times 1/sqrt(d_src * d_dst), so
     # weighted graphs stay equivalent to the normalized-adjacency route
     looped = add_self_loops(g)
     coeff = sym_norm_coefficients(looped, compute_degrees(looped))
-    return PipelineContext(src=looped.src, dst=looped.dst,
-                           coeff=coeff * looped.weights)
+    return _mp_context(looped.src, looped.dst, coeff * looped.weights)
 
 
 def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
@@ -234,7 +244,7 @@ def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
 
 
 def _gin_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    return PipelineContext(src=g.src, dst=g.dst, coeff=g.weights)
+    return _mp_context(g.src, g.dst, g.weights)
 
 
 def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
@@ -243,7 +253,7 @@ def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
 
 def _sage_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     looped = add_self_loops(g)
-    return PipelineContext(src=looped.src, dst=looped.dst)
+    return _mp_context(looped.src, looped.dst)
 
 
 # ``k`` is the kernel backend: the kernels module itself, or an object
@@ -344,9 +354,7 @@ def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]
                 raise ShapeError(
                     f"layer {i} weight shape {got} breaks dims chain {want}"
                 )
-        # identity first, as container equality does, so that a NaN epsilon
-        # handed out by init_weights still matches its spec
-        if p.epsilon is not spec.epsilon and p.epsilon != spec.epsilon:
+        if p.epsilon != spec.epsilon:
             raise ConfigError(
                 f"layer {i} epsilon {p.epsilon} differs from the spec's "
                 f"epsilon {spec.epsilon}"

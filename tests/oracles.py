@@ -1,13 +1,25 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive pure-Python arithmetic over nested
+Most of this is deliberately naive pure-Python arithmetic over nested
 lists: scalar triple-loop matrix multiplication, explicit edge-walking for
 densification, degrees, normalization, and segment reduction. None of the
 package's kernel code paths are reused, so agreement between a kernel and
 its oracle is meaningful evidence.
+
+The numpy section at the end keeps the implementations the package used
+before its sparse product primitive, its sort-based CSR build and its
+block-wise graph generator: ``np.add.at`` scatter and spmm, rank-1 sgemm,
+``np.unique`` coalescing and the whole-array Erdos-Renyi formula. They
+work in the operands' own dtype, so they pin f32 results bit for bit where
+the list-based oracles, which compute in Python floats, cannot.
 """
 
 import math
+
+import numpy as np
+
+from gnnbench.graph import CsrGraph
+from gnnbench.rng import uniform_array
 
 
 def to_lists(x):
@@ -181,3 +193,81 @@ def csr_from_dense(matrix):
                 values.append(v)
         row_ptr.append(len(col_idx))
     return row_ptr, col_idx, values
+
+
+# -- numpy oracles: the replaced implementations ------------------------------
+
+def add_at_scatter(src, index, n, op):
+    """Segment sum or mean by unbuffered ``np.add.at`` in ascending k."""
+    out = np.zeros((n, src.shape[1]), dtype=src.dtype)
+    np.add.at(out, index, src)
+    if op == "mean":
+        counts = np.bincount(index, minlength=n)
+        received = counts > 0
+        out[received] /= counts[received, None].astype(src.dtype)
+    return out
+
+
+def add_at_spmm(a, x):
+    """CSR times dense: per-entry products added in storage order."""
+    out = np.zeros((a.num_rows, x.shape[1]), dtype=np.result_type(a.values, x))
+    rows = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
+    np.add.at(out, rows, a.values[:, None] * x[a.col_idx])
+    return out
+
+
+def rank1_sgemm(a, b):
+    """Dense product as rank-1 updates over the inner dimension, ascending."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out += a[:, k, None] * b[None, k, :]
+    return out
+
+
+def unique_coo_to_csr(g):
+    """Canonical CSR by ``np.unique`` over (dst, src) pairs; duplicates are
+    added into zeros in edge order."""
+    n = g.num_nodes
+    if g.num_edges == 0:
+        return CsrGraph(n, n, np.zeros(n + 1, dtype=np.int64),
+                        np.zeros(0, dtype=np.int64),
+                        np.zeros(0, dtype=g.weights.dtype))
+    pairs = np.stack([g.dst, g.src], axis=1)
+    unique_pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    values = np.zeros(len(unique_pairs), dtype=g.weights.dtype)
+    np.add.at(values, inverse.ravel(), g.weights)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(unique_pairs[:, 0], minlength=n), out=row_ptr[1:])
+    return CsrGraph(n, n, row_ptr, unique_pairs[:, 1], values)
+
+
+def whole_array_er(n, p, seed):
+    """Erdos-Renyi (src, dst) from all n(n-1) draws at once, row-major."""
+    num_pairs = n * (n - 1) if n > 1 else 0
+    if num_pairs == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    draws = uniform_array(seed, num_pairs)
+    u = np.repeat(np.arange(n, dtype=np.int64), n - 1)
+    pos = np.tile(np.arange(n - 1, dtype=np.int64), n)
+    v = pos + (pos >= u)
+    keep = draws < p
+    return u[keep], v[keep]
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes, except that a NaN matches any NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result unspecified, and
+    numpy itself varies them: adding a negative NaN into a positive one
+    with ``+=`` keeps one sign for a 1-element array and the other for a
+    3-element one. So NaN positions must agree, not their bits.
+    """
+    got = np.asarray(got)
+    want = np.asarray(want)
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    nan = np.isnan(got)
+    if not np.array_equal(nan, np.isnan(want)):
+        return False
+    return np.ascontiguousarray(got[~nan]).tobytes() == \
+        np.ascontiguousarray(want[~nan]).tobytes()

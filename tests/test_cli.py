@@ -112,6 +112,18 @@ class TestParseConfig:
             cli.parse_config(["run", "--dataset", f"er:8:0.3:{5 + 2**64}"])
         assert cli.main(["run", "--seed", str(2**64)]) == 2
 
+    @pytest.mark.parametrize("flag", [["--epsilon", "nan"], ["--epsilon", "inf"],
+                                      ["--epsilon=-inf"]])
+    def test_non_finite_epsilon_is_usage_error(self, flag, tmp_path, capsys):
+        # a NaN epsilon used to run, and its report said "epsilon": NaN,
+        # which is not JSON
+        out = tmp_path / "report.json"
+        argv = ["run", "--model", "gin", "--dataset", "er:16:0.2:1",
+                "--output", str(out)] + flag
+        assert cli.main(argv) == 2
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["run", "--bogus", "1"])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import whole_array_er
 
 from gnnbench.data import (
     gen_er_graph,
@@ -129,6 +131,27 @@ class TestGenErGraph:
         sigma = math.sqrt(trials * p * (1 - p))
         count = gen_er_graph(n, p, 123).num_edges
         assert abs(count - trials * p) <= 5 * sigma
+
+    # 300 * 299 pairs span two generator blocks of 2**16
+    @pytest.mark.parametrize("n,p,seed", [(0, 0.5, 1), (1, 0.5, 1), (2, 1.0, 3),
+                                          (17, 0.3, 2**64 - 1), (300, 0.02, 5),
+                                          (300, 1.0, 6)])
+    def test_matches_whole_array_formula(self, n, p, seed):
+        g = gen_er_graph(n, p, seed)
+        src, dst = whole_array_er(n, p, seed)
+        assert g.src.tobytes() == src.tobytes()
+        assert g.dst.tobytes() == dst.tobytes()
+        assert g.weights.tolist() == [1.0] * len(src)
+
+    def test_memory_does_not_grow_with_pair_count(self):
+        # the whole-array formula held about 33 B per ordered pair (74 MB)
+        tracemalloc.start()
+        try:
+            gen_er_graph(1500, 0.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import coo_graphs, symmetric_graph
-from oracles import csr_from_dense, dense_adjacency, dense_normalized
+from oracles import (
+    csr_from_dense,
+    dense_adjacency,
+    dense_normalized,
+    unique_coo_to_csr,
+)
 
 from gnnbench.errors import CapacityError, FormatError, NormalizationError
 from gnnbench.graph import (
@@ -191,6 +197,18 @@ class TestProperties:
         # and both agree with the edge-walking oracle
         assert np.array_equal(direct, np.array(dense_adjacency(g)).reshape(direct.shape))
 
+    @given(coo_graphs(max_nodes=6, max_edges=30),
+           st.sampled_from([np.float32, np.float64]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coo_to_csr_matches_unique_oracle(self, g, dtype, data):
+        # signed zeros among the weights: a lone -0.0 coalesces to +0.0
+        zeros = data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]),
+                                   min_size=g.num_edges, max_size=g.num_edges))
+        w = np.array([x if z is None else z for x, z in zip(g.weights, zeros)],
+                     dtype=dtype)
+        g = CooGraph(g.num_nodes, g.src, g.dst, w)
+        assert coo_to_csr(g) == unique_coo_to_csr(g)
+
     @given(coo_graphs())
     @settings(max_examples=60, deadline=None)
     def test_self_loop_idempotence(self, g):
@@ -209,6 +227,13 @@ class TestValidation:
     def test_src_out_of_range(self):
         with pytest.raises(FormatError):
             coo(2, src=[2], dst=[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(FormatError, match="edge 1 has non-finite weight"):
+            coo(3, src=[0, 1, 2], dst=[1, 2, 0], weights=[1.0, bad, 1.0])
+        with pytest.raises(FormatError, match="non-finite"):
+            CooGraph(2, np.array([0]), np.array([1]), np.array([bad], np.float32))
 
     def test_length_mismatch(self):
         with pytest.raises(FormatError):

@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import coo_graphs
 from oracles import (
+    add_at_scatter,
+    add_at_spmm,
     dense_from_csr,
     gather_reference,
     naive_matmul,
+    rank1_sgemm,
+    same_bits,
     scatter_reference,
     to_lists,
 )
@@ -21,6 +25,7 @@ from gnnbench.graph import (
     csr_to_dense,
     normalized_adjacency,
 )
+from gnnbench import kernels
 from gnnbench.kernels import (
     OpCounters,
     ReduceOp,
@@ -277,3 +282,110 @@ class TestCrossKernelProperties:
         for c in (index_select_counters(100, 8),
                   scatter_counters(100, 8, 50, ReduceOp.SUM)):
             assert c.int_ops / (c.fp_ops + c.int_ops) >= 0.5
+
+
+SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+FLOATS = (np.float32, np.float64)
+
+
+@st.composite
+def special_arrays(draw, shape, dtype):
+    """Entries mixing small finite values with NaN, +-inf and signed zeros;
+    C- or F-ordered."""
+    size = int(np.prod(shape))
+    cells = draw(st.lists(st.one_of(st.sampled_from(SPECIALS), st.floats(-4, 4)),
+                          min_size=size, max_size=size))
+    a = np.array(cells, dtype=dtype).reshape(shape)
+    return np.asfortranarray(a) if draw(st.booleans()) else a
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the oracles
+class TestSparseProductPrimitive:
+    """scatter (sum/mean), spmm and sgemm against the implementations they
+    replaced, bit for bit (a NaN matches any NaN)."""
+
+    @given(st.data(), st.sampled_from(["sum", "mean"]), st.sampled_from(FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_scatter_matches_add_at(self, data, op, dtype):
+        n = data.draw(st.integers(0, 5))
+        e = data.draw(st.integers(0, 10)) if n else 0
+        f = data.draw(st.integers(0, 3))
+        index = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                            min_size=e, max_size=e)), dtype=np.int64)
+        src = data.draw(special_arrays((e, f), dtype))
+        want = add_at_scatter(src, index, n, op)
+        assert same_bits(scatter(src, index, n, ReduceOp(op)), want)
+
+    @given(st.data(), st.sampled_from(FLOATS), st.sampled_from(FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_spmm_matches_add_at(self, data, a_dtype, x_dtype):
+        g = data.draw(coo_graphs(max_nodes=5, max_edges=12))
+        a = coo_to_csr(g)
+        values = data.draw(special_arrays((a.nnz,), a_dtype))
+        a = CsrGraph(a.num_rows, a.num_cols, a.row_ptr, a.col_idx, values)
+        x = data.draw(special_arrays((a.num_cols, data.draw(st.integers(0, 3))),
+                                     x_dtype))
+        assert same_bits(spmm(a, x), add_at_spmm(a, x))
+
+    @given(st.data(), st.sampled_from(FLOATS), st.sampled_from(FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_sgemm_matches_rank1(self, data, a_dtype, b_dtype):
+        m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a = data.draw(special_arrays((m, k), a_dtype))
+        b = data.draw(special_arrays((k, n), b_dtype))
+        assert same_bits(sgemm(a, b), rank1_sgemm(a, b))
+
+    def test_accumulates_in_ascending_order(self):
+        # 1 is absorbed by 1e16 when added first; a reversed sum gives 1
+        terms = np.array([1.0, 1e16, -1e16])
+        assert scatter(terms[:, None], [0, 0, 0], 1).tolist() == [[0.0]]
+        row = CsrGraph(1, 3, [0, 3], [0, 1, 2], terms)
+        assert spmm(row, np.ones((3, 2))).tolist() == [[0.0, 0.0]]
+        assert sgemm(terms[None, :], np.ones((3, 1))).tolist() == [[0.0]]
+
+    def test_empty_shapes(self):
+        # no inner dimension, no rows, no edges, no nodes
+        assert sgemm(np.ones((3, 0)), np.ones((0, 2))).tolist() == [[0.0] * 2] * 3
+        assert sgemm(np.ones((0, 2)), np.ones((2, 3))).shape == (0, 3)
+        assert scatter(np.ones((0, 2)), [], 3, ReduceOp.MEAN).tolist() == \
+            [[0.0] * 2] * 3
+        assert scatter(np.ones((0, 2)), [], 0, ReduceOp.SUM).shape == (0, 2)
+        assert spmm(CsrGraph(0, 0, [0], [], []), np.ones((0, 4))).shape == (0, 4)
+
+    def test_inf_times_zero_is_nan(self):
+        # the dense operand keeps its zeros, as in the triple loop
+        out = sgemm(np.array([[0.0, 1.0]]), np.array([[np.inf], [2.0]]))
+        assert np.isnan(out[0, 0])
+
+    def test_result_dtype_follows_numpy(self):
+        a = rand((3, 2), 1).astype(np.float32)
+        assert sgemm(a, rand((2, 2), 2)).dtype == np.float64
+        assert sgemm(a, a.T).dtype == np.float32
+
+    def test_unsupported_dtype_rejected(self):
+        # scipy would compute float16 in float32 and return float32
+        half = np.ones((2, 2), dtype=np.float16)
+        with pytest.raises(TypeError, match="float16"):
+            sgemm(half, half)
+        with pytest.raises(TypeError, match="float16"):
+            scatter(half, [0, 1], 2, ReduceOp.SUM)
+        with pytest.raises(TypeError, match="float16"):
+            spmm(csr_identity(2, dtype=np.float32).astype(np.float16), half)
+
+    def test_one_primitive_behind_three_kernels(self, monkeypatch):
+        calls = []
+        primitive = kernels._csr_matmul
+
+        def spy(*args):
+            calls.append(len(args[0]) - 1)
+            return primitive(*args)
+
+        monkeypatch.setattr(kernels, "_csr_matmul", spy)
+        x = rand((3, 2), 4)
+        scatter(x, [2, 0, 2], 4, ReduceOp.SUM)
+        scatter(x, [2, 0, 2], 5, ReduceOp.MEAN)
+        spmm(csr_identity(3), x)
+        sgemm(x, rand((2, 6), 5))
+        assert calls == [4, 5, 3, 3]
+        scatter(x, [2, 0, 2], 4, ReduceOp.MAX)
+        assert len(calls) == 4

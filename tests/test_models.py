@@ -5,8 +5,9 @@ from oracles import dense_layer
 
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, ShapeError
-from gnnbench.graph import CooGraph, coo
+from gnnbench.graph import CooGraph, add_self_loops, coo
 from gnnbench.models import (
+    PIPELINES,
     Activation,
     CompModel,
     LayerParams,
@@ -307,3 +308,29 @@ class TestSpecValidation:
     def test_layer_count(self):
         with pytest.raises(ConfigError):
             ModelSpec(Model.GCN, CompModel.MP, 0, (3,))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon(self, eps):
+        with pytest.raises(ConfigError, match="epsilon must be finite"):
+            spec_for("gin", "spmm", (3, 3), eps=eps)
+
+
+class TestPipelineContext:
+    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
+    def test_mp_edges_by_destination_in_edge_order(self, model):
+        # a weighted multigraph with duplicates and a self-loop
+        g = CooGraph(4, np.array([3, 1, 2, 1, 0, 2, 2]),
+                     np.array([2, 0, 2, 0, 3, 0, 2]),
+                     np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
+        ctx = PIPELINES[Model(model), CompModel.MP].prepare(g, 0.0)
+        edges = g if model == "gin" else add_self_loops(g)
+        assert np.all(np.diff(ctx.dst) >= 0)
+        # within each destination, the edges keep their order in the list
+        coeff = edges.weights if model == "gin" else np.zeros(edges.num_edges)
+        got_coeff = ctx.coeff if model == "gin" else np.zeros(edges.num_edges)
+        for v in range(g.num_nodes):
+            want = [(int(s), w) for s, d, w in zip(edges.src, edges.dst, coeff)
+                    if d == v]
+            got = [(int(s), w) for s, d, w in zip(ctx.src, ctx.dst, got_coeff)
+                   if d == v]
+            assert got == want
