@@ -52,6 +52,9 @@ __all__ = [
     "ComparisonSummary",
     "Instrumentation",
     "instrumented_run",
+    "PRECISIONS",
+    "REPORT_WRITERS",
+    "cast_inputs",
     "emit_report",
     "report_to_json",
     "report_to_csv",
@@ -63,7 +66,8 @@ REPORT_VERSION = "1"
 
 OTHER = "other"
 
-_DTYPES = {"f64": np.float64, "f32": np.float32}
+# Precision mode -> the dtype a run casts its graph, features and weights to.
+PRECISIONS = {"f64": np.float64, "f32": np.float32}
 
 
 @dataclass
@@ -152,6 +156,15 @@ def _synthesize_record(g: CooGraph, x: np.ndarray) -> DatasetRecord:
                          g.num_edges, "synthetic")
 
 
+def cast_inputs(spec: ModelSpec, g: CooGraph, x: np.ndarray, precision: str):
+    """``(g, x, init_weights(spec))``, each cast to the precision's dtype."""
+    if precision not in PRECISIONS:
+        raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
+    dtype = PRECISIONS[precision]
+    return (g.astype(dtype), np.ascontiguousarray(np.asarray(x), dtype=dtype),
+            [p.astype(dtype) for p in models.init_weights(spec)])
+
+
 def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
                      repeats: int = 3, *, dataset: Optional[DatasetRecord] = None,
                      precision: str = "f64", warmup: int = 0) -> RunReport:
@@ -165,14 +178,9 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if precision not in _DTYPES:
-        raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
-    dtype = _DTYPES[precision]
     record = dataset if dataset is not None else _synthesize_record(g, x)
 
-    g = g.astype(dtype)
-    x = np.ascontiguousarray(np.asarray(x), dtype=dtype)
-    params = [p.astype(dtype) for p in models.init_weights(spec)]
+    g, x, params = cast_inputs(spec, g, x, precision)
     ctx = models.prepare(spec, g)
 
     for _ in range(warmup):
@@ -308,14 +316,14 @@ def report_to_csv(report: RunReport) -> str:
     return buf.getvalue()
 
 
+REPORT_WRITERS = {"json": report_to_json, "csv": report_to_csv}
+
+
 def emit_report(report: RunReport, format: str, sink) -> None:
-    """Serialize a report to a writable text sink as JSON or CSV."""
-    if format == "json":
-        sink.write(report_to_json(report))
-    elif format == "csv":
-        sink.write(report_to_csv(report))
-    else:
+    """Serialize a report to a writable text sink in a REPORT_WRITERS format."""
+    if format not in REPORT_WRITERS:
         raise ValueError(f"unknown report format {format!r}")
+    sink.write(REPORT_WRITERS[format](report))
 
 
 def compare_runs(a: RunReport, b: RunReport) -> ComparisonSummary:

@@ -8,8 +8,11 @@ Subcommands:
   equivalence suite on the configured pipeline and print pass/fail lines.
 - ``datasets``: print the dataset registry and the core-kernel legend.
 
-Every parameter resolves with precedence: command-line flag, then
-config-file entry, then built-in default. The config file is plain UTF-8
+Each parameter is one :class:`CliConfig` field, which declares its
+default and its parser; the flags and the config-file keys are derived from
+those fields. A parameter resolves with precedence: command-line flag, then
+config-file entry, then the field default, and a flag value and a file
+value go through the same parser. The config file is plain UTF-8
 ``key = value`` lines with ``#`` comments, where keys equal the long flag
 names; it is named by ``--config`` or the ``GSUITE_CONFIG`` environment
 variable. Validation is fail-fast: nothing is computed until the whole
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import os
 import sys
 from typing import Optional
@@ -53,61 +55,23 @@ EXIT_DATA = 3
 EXIT_CONSISTENCY = 4
 
 # Tolerance used by `check` for the cross-model and dense-reference
-# comparisons, per precision mode.
+# comparisons, one entry per precision in ``bench.PRECISIONS``.
 CHECK_TOLERANCE = {"f64": 1e-9, "f32": 1e-4}
-
-_DEFAULTS = {
-    "model": "gcn",
-    "comp": "mp",
-    "dataset": "er:64:0.1:42",
-    "layers": 2,
-    "hidden": 16,
-    "epsilon": 0.0,
-    "activation": "relu",
-    "repeats": 3,
-    "seed": 0,
-    "precision": "f64",
-    "output": "-",
-    "format": "json",
-    "warmup": 0,
-}
 
 # Feature length used for synthetic er: datasets when the optional fifth
 # field is omitted.
 DEFAULT_SYNTHETIC_FEATURES = 16
 
-_CHOICES = {
-    "model": ("gcn", "gin", "sage"),
-    "comp": ("mp", "spmm"),
-    "activation": ("relu", "sigmoid", "identity"),
-    "precision": ("f32", "f64"),
-    "format": ("json", "csv"),
-}
-
-
-@dataclasses.dataclass
-class CliConfig:
-    model: str
-    comp: str
-    dataset: str
-    layers: int
-    hidden: int
-    epsilon: float
-    activation: str
-    repeats: int
-    seed: int
-    precision: str
-    output: str
-    format: str
-    warmup: int
-
 
 def _parse_int(key: str, value, minimum: Optional[int] = None,
                maximum: Optional[int] = None) -> int:
     try:
-        out = int(str(value), 0)
+        out = int(value, 0)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        try:
+            out = int(value)  # decimal with leading zeros, such as "010"
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
     if minimum is not None and out < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {out}")
     if maximum is not None and out > maximum:
@@ -123,35 +87,62 @@ def _parse_seed(key: str, value) -> int:
 
 def _parse_float(key: str, value) -> float:
     try:
-        return float(str(value))
+        return float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-def _parse_choice(key: str, value) -> str:
-    out = str(value).lower()
-    if out not in _CHOICES[key]:
-        raise ConfigError(
-            f"{key}: expected one of {'|'.join(_CHOICES[key])}, got {value!r}"
-        )
-    return out
+def _setting(default, parse, metavar=None, help=None):
+    """A CliConfig field: its default, and the parser of a flag or file value."""
+    return dataclasses.field(default=default, metadata={
+        "parse": parse, "metavar": metavar, "help": help})
 
 
-_FIELD_PARSERS = {
-    "model": _parse_choice,
-    "comp": _parse_choice,
-    "dataset": lambda k, v: str(v),
-    "layers": lambda k, v: _parse_int(k, v, minimum=1),
-    "hidden": lambda k, v: _parse_int(k, v, minimum=1),
-    "epsilon": _parse_float,
-    "activation": _parse_choice,
-    "repeats": lambda k, v: _parse_int(k, v, minimum=1),
-    "seed": _parse_seed,
-    "precision": _parse_choice,
-    "output": lambda k, v: str(v),
-    "format": _parse_choice,
-    "warmup": lambda k, v: _parse_int(k, v, minimum=0),
-}
+def _count(default, minimum):
+    return _setting(default, lambda key, value: _parse_int(key, value, minimum),
+                    metavar="N")
+
+
+def _choice(default, choices):
+    """A case-insensitive choice, stored lower-case; ``choices`` holds
+    strings or the members of an Enum whose values are the choices."""
+    choices = tuple(getattr(c, "value", c) for c in choices)
+
+    def parse(key, value):
+        out = value.lower()
+        if out not in choices:
+            raise ConfigError(
+                f"{key}: expected one of {'|'.join(choices)}, got {value!r}")
+        return out
+
+    return _setting(default, parse, metavar="{" + "|".join(choices) + "}")
+
+
+def _text(key, value) -> str:
+    return value
+
+
+@dataclasses.dataclass
+class CliConfig:
+    """Every pipeline setting; each is a flag and a config-file key alike."""
+
+    model: str = _choice("gcn", models.Model)
+    comp: str = _choice("mp", models.CompModel)
+    dataset: str = _setting("er:64:0.1:42", _text, help="preset name, "
+                            "er:<n>:<p>:<seed>[:<f>], or <edges_path>,<features_path>")
+    layers: int = _count(2, minimum=1)
+    hidden: int = _count(16, minimum=1)
+    epsilon: float = _setting(0.0, _parse_float, metavar="X")
+    activation: str = _choice("relu", models.Activation)
+    repeats: int = _count(3, minimum=1)
+    seed: int = _setting(0, _parse_seed, metavar="U64")
+    precision: str = _choice("f64", bench.PRECISIONS)
+    output: str = _setting("-", _text, help="report path, or - for stdout")
+    format: str = _choice("json", bench.REPORT_WRITERS)
+    warmup: int = _count(0, minimum=0)
+
+
+_SETTINGS = {f.name: f for f in dataclasses.fields(CliConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -171,7 +162,7 @@ def read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _FIELD_PARSERS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             entries[key] = value
     return entries
@@ -183,28 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Framework-independent GNN inference benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_pipeline_flags(p):
-        p.add_argument("--model", choices=_CHOICES["model"])
-        p.add_argument("--comp", choices=_CHOICES["comp"])
-        p.add_argument("--dataset",
-                       help="preset name, er:<n>:<p>:<seed>[:<f>], or "
-                            "<edges_path>,<features_path>")
-        p.add_argument("--layers", type=int)
-        p.add_argument("--hidden", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--activation", choices=_CHOICES["activation"])
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--precision", choices=_CHOICES["precision"])
-        p.add_argument("--output", help="report path, or - for stdout")
-        p.add_argument("--format", choices=_CHOICES["format"])
-        p.add_argument("--warmup", type=int)
+    for name, summary in (("run", "run an instrumented benchmark"),
+                          ("check", "run the equivalence and determinism checks")):
+        p = sub.add_parser(name, help=summary)
+        # flags stay strings here: each value goes through its field's
+        # parser, exactly as a config-file value does
+        for f in _SETTINGS.values():
+            p.add_argument(f"--{f.name}", metavar=f.metadata["metavar"],
+                           help=f.metadata["help"])
         p.add_argument("--config", help="config file path")
-
-    add_pipeline_flags(sub.add_parser("run", help="run an instrumented benchmark"))
-    add_pipeline_flags(sub.add_parser(
-        "check", help="run the equivalence and determinism checks"))
     sub.add_parser("datasets", help="print the dataset registry")
     return parser
 
@@ -227,18 +205,15 @@ def _resolve_config(args: argparse.Namespace,
     file_entries = read_config_file(path) if path else {}
 
     resolved = {}
-    for key, parse in _FIELD_PARSERS.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            resolved[key] = parse(key, flag_value)
-        elif key in file_entries:
-            resolved[key] = parse(key, file_entries[key])
-        else:
-            resolved[key] = _DEFAULTS[key]
+    for f in _SETTINGS.values():  # flag, then file entry, then the field default
+        value = getattr(args, f.name)
+        if value is None:
+            value = file_entries.get(f.name)
+        if value is not None:
+            resolved[f.name] = f.metadata["parse"](f.name, value)
     cfg = CliConfig(**resolved)
 
-    if (models.Model(cfg.model), models.CompModel(cfg.comp)) not in models.PIPELINES:
-        raise ConfigError(f"{cfg.model} has no {cfg.comp} formulation")
+    models.pipeline_for(models.Model(cfg.model), models.CompModel(cfg.comp))
     _classify_dataset(cfg.dataset)  # fail fast on malformed dataset syntax
     return cfg
 
@@ -255,6 +230,11 @@ def _classify_dataset(spec_str: str):
                 f"dataset: expected er:<n>:<p>:<seed>[:<f>], got {spec_str!r}"
             )
         n = _parse_int("dataset n", parts[1], minimum=1)
+        if n * (n - 1) > data.MAX_ER_PAIRS:
+            raise ConfigError(
+                f"dataset: er:{n} has {n * (n - 1)} node pairs to draw, above "
+                f"the generator's cap of {data.MAX_ER_PAIRS}"
+            )
         p = _parse_float("dataset p", parts[2])
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"dataset p must be in [0, 1], got {p}")
@@ -326,13 +306,12 @@ def run(cfg: CliConfig) -> int:
     )
     # serialize fully before touching the sink so a failed run never leaves
     # a partial report behind
-    text = io.StringIO()
-    bench.emit_report(report, cfg.format, text)
+    text = bench.REPORT_WRITERS[cfg.format](report)
     if cfg.output == "-":
-        sys.stdout.write(text.getvalue())
+        sys.stdout.write(text)
     else:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text.getvalue())
+            fh.write(text)
     return EXIT_OK
 
 
@@ -344,12 +323,9 @@ def _check_line(ok: bool, name: str, detail: str) -> bool:
 def check(cfg: CliConfig) -> int:
     """Equivalence and determinism suite for the configured pipeline."""
     g, x, record = resolve_dataset(cfg)
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
     tol = CHECK_TOLERANCE[cfg.precision]
-    g_t = g.astype(dtype)
-    x_t = np.ascontiguousarray(x, dtype=dtype)
     spec = build_model_spec(cfg, x.shape[1])
-    params = [p.astype(dtype) for p in models.init_weights(spec)]
+    g_t, x_t, params = bench.cast_inputs(spec, g, x, cfg.precision)
 
     all_ok = True
 
@@ -393,8 +369,7 @@ def datasets() -> int:
         print(f"{r.name:<12} {r.short_form:<5} {r.num_nodes:>9} "
               f"{r.feature_length:>9} {r.num_edges:>11}")
     print()
-    print("core kernels: index_select (is), scatter (sc), sgemm (sg), "
-          "spmm (sp), spgemm (sp)")
+    print("core kernels: index_select (is), scatter (sc), sgemm (sg), spmm (sp)")
     return EXIT_OK
 
 

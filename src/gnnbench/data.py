@@ -35,6 +35,7 @@ __all__ = [
     "load_features",
     "gen_er_graph",
     "gen_features",
+    "MAX_ER_PAIRS",
 ]
 
 # Stream key context for feature generation, decorrelating it from the
@@ -43,6 +44,10 @@ _FEATURES_ROLE = 0x66656174  # "feat"
 
 # Ordered pairs drawn per block by the Erdos-Renyi generator.
 _ER_BLOCK = 1 << 16
+
+# Most ordered pairs an er: dataset spec may ask the generator to draw: its
+# time is O(n^2) whatever p is, and 2^30 pairs (n = 32768) take minutes.
+MAX_ER_PAIRS = 1 << 30
 
 
 @dataclass(frozen=True)

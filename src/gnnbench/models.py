@@ -59,6 +59,7 @@ __all__ = [
     "PipelineContext",
     "Pipeline",
     "PIPELINES",
+    "pipeline_for",
     "init_weights",
     "prepare",
     "forward",
@@ -139,12 +140,7 @@ class ModelSpec:
             raise ConfigError("feature widths must be positive")
         if not np.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
-        if (self.model, self.comp_model) not in PIPELINES:
-            raise ConfigError(
-                f"{self.model.value} has no {self.comp_model.value} "
-                "formulation; implemented pipelines: "
-                + ", ".join(f"{m.value}-{c.value}" for m, c in PIPELINES)
-            )
+        pipeline_for(self.model, self.comp_model)
 
     def summary(self) -> dict:
         return {
@@ -299,6 +295,17 @@ PIPELINES = {
     (Model.SAGE, CompModel.MP): Pipeline(_sage_mp_context, _sage_mp_apply,
                                          _SELF_AND_NEIGHBOR),
 }
+
+
+def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
+    """The table entry of ``(model, comp)``; ConfigError if there is none."""
+    try:
+        return PIPELINES[model, comp]
+    except KeyError:
+        raise ConfigError(
+            f"{model.value} has no {comp.value} formulation; implemented "
+            "pipelines: " + ", ".join(f"{m.value}-{c.value}" for m, c in PIPELINES)
+        ) from None
 
 
 def prepare(spec: ModelSpec, g: CooGraph) -> PipelineContext:

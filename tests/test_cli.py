@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
-from gnnbench import cli
+from gnnbench import bench, cli, data
 from gnnbench.bench import parse_report_json
+from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError
+from gnnbench.models import CompModel, Model, ModelSpec
 
 
 def strip_timing(doc: dict) -> dict:
@@ -269,3 +274,108 @@ class TestExitCodes:
         bad.write_text("zero one\n")
         assert cli.main(["run", "--dataset",
                          f"{bad},{tmp_path / 'x.csv'}"]) == 3
+
+
+# One spelling per setting, and the value it must resolve to, whether it
+# comes from a flag or from a config file.
+SPELLINGS = {
+    "model": [("gin", "gin"), ("GCN", "gcn")],
+    "comp": [("spmm", "spmm")],
+    "dataset": [("er:8:0.5:1", "er:8:0.5:1")],
+    "layers": [("4", 4), ("0x2", 2), ("010", 10)],
+    "hidden": [("32", 32)],
+    "epsilon": [("0.5", 0.5)],
+    "activation": [("Sigmoid", "sigmoid")],
+    "repeats": [("7", 7)],
+    "seed": [("11", 11), ("0x10", 16)],
+    "precision": [("F32", "f32")],
+    "output": [("conf.json", "conf.json")],
+    "format": [("csv", "csv")],
+    "warmup": [("2", 2)],
+}
+
+
+class TestFlagFileParity:
+    def test_every_setting_has_spellings(self):
+        assert set(SPELLINGS) == {f.name for f in dataclasses.fields(cli.CliConfig)}
+
+    @pytest.mark.parametrize("key,text,expected", [
+        (key, text, expected) for key, cases in SPELLINGS.items()
+        for text, expected in cases])
+    def test_flag_and_file_resolve_alike(self, key, text, expected, tmp_path):
+        conf = tmp_path / "bench.conf"
+        conf.write_text(f"{key} = {text}\n")
+        from_flag = cli.parse_config(["run", f"--{key}", text])
+        from_file = cli.parse_config(["run", "--config", str(conf)])
+        assert from_flag == from_file
+        assert getattr(from_flag, key) == expected
+
+    def test_bad_flag_value_is_config_error(self, capsys):
+        with pytest.raises(ConfigError, match="layers"):
+            cli.parse_config(["run", "--layers", "many"])
+        assert cli.main(["run", "--layers", "many"]) == 2
+        assert "layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_flags_are_the_settings_plus_config(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        usage = capsys.readouterr().out.split("options:")[0]
+        flags = set(re.findall(r"--([a-z_]+)", usage)) - {"help"}
+        assert flags == {f.name for f in dataclasses.fields(cli.CliConfig)} | {"config"}
+
+
+class TestPipelineRule:
+    def test_cli_and_spec_give_one_message(self):
+        with pytest.raises(ConfigError) as from_cli:
+            cli.parse_config(["run", "--model", "sage", "--comp", "spmm"])
+        with pytest.raises(ConfigError) as from_spec:
+            ModelSpec(Model.SAGE, CompModel.SPMM, 1, (4, 4))
+        assert str(from_cli.value) == str(from_spec.value)
+
+    def test_rejected_before_loading_data(self, tmp_path, capsys):
+        missing = f"{tmp_path / 'edges.txt'},{tmp_path / 'x.csv'}"
+        assert cli.main(["run", "--model", "sage", "--comp", "spmm",
+                         "--dataset", missing]) == 2
+        assert "formulation" in capsys.readouterr().err
+
+
+class TestPrecisions:
+    def test_check_tolerance_per_precision(self):
+        assert set(cli.CHECK_TOLERANCE) == set(bench.PRECISIONS)
+
+    @pytest.mark.parametrize("precision", sorted(bench.PRECISIONS))
+    def test_cast_inputs(self, precision):
+        spec = ModelSpec(Model.SAGE, CompModel.MP, 1, (3, 2))
+        g = gen_er_graph(6, 0.5, 1)
+        x = np.asfortranarray(gen_features(6, 3, 1))
+        g_t, x_t, params = bench.cast_inputs(spec, g, x, precision)
+        dtype = bench.PRECISIONS[precision]
+        assert g_t.weights.dtype == dtype
+        assert x_t.dtype == dtype and x_t.flags.c_contiguous
+        assert all(m.dtype == dtype for p in params for m in (p.w1, p.w2))
+
+
+class TestKernelLegend:
+    def test_each_report_kernel_once_with_a_distinct_short_form(self, capsys):
+        assert cli.main(["datasets"]) == 0
+        legend = capsys.readouterr().out.splitlines()[-1]
+        pairs = re.findall(r"(\w+) \((\w+)\)", legend)
+        assert tuple(name for name, _ in pairs) == bench.KERNEL_ORDER
+        shorts = [short for _, short in pairs]
+        assert shorts == ["is", "sc", "sg", "sp"]
+        for short in shorts:
+            assert legend.count(f"({short})") == 1
+
+
+class TestErPairCap:
+    @pytest.mark.parametrize("n", [2000, 19717, 32768])
+    def test_at_or_below_cap_accepted(self, n):
+        assert n * (n - 1) <= data.MAX_ER_PAIRS
+        cli.parse_config(["run", "--dataset", f"er:{n}:0.000114:1"])
+
+    @pytest.mark.parametrize("n", [32769, 100000])
+    def test_above_cap_rejected(self, n):
+        assert n * (n - 1) > data.MAX_ER_PAIRS
+        with pytest.raises(ConfigError, match="cap"):
+            cli.parse_config(["run", "--dataset", f"er:{n}:0.1:1"])
