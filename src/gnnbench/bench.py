@@ -3,11 +3,13 @@
 An instrumented run executes the configured forward pass a number of times
 (three by default, reporting per-repeat means), timing every core-kernel
 invocation with a monotonic clock and attributing analytic operation counts
-per call. Everything else inside a forward pass (activations, per-edge
-scaling, bookkeeping) lands in the ``other`` category, so the per-kernel
-means plus ``other`` sum to ``end_to_end_ns``. One-off setup (dtype casts,
-weight initialization, graph preprocessing) runs before the measured
-repeats and is not part of any row.
+per call. Everything else inside a forward pass (activations, GIN's and
+SAGE's combine steps, bookkeeping) lands in the ``other`` category, so the
+per-kernel means plus ``other`` sum to ``end_to_end_ns``. The per-edge
+scaling of GCN-MP and GIN-MP is not in ``other``: it runs inside
+``scatter``, whose counters leave its multiplies out. One-off setup (dtype
+casts, weight initialization, graph preprocessing) runs before the
+measured repeats and is not part of any row.
 
 Timing is never part of any correctness contract: counter arithmetic and
 share normalization are asserted, wall times are merely reported. Numerical
@@ -106,7 +108,8 @@ class ComparisonSummary:
 _COUNTERS = {
     "index_select": lambda x, index:
         kernels.index_select_counters(len(index), x.shape[1]),
-    "scatter": lambda src, index, n, op=ReduceOp.SUM:
+    # the per-edge weight multiplies are not counted (see gnnbench.kernels)
+    "scatter": lambda src, index, n, op=ReduceOp.SUM, weights=None:
         kernels.scatter_counters(src.shape[0], src.shape[1], n, op),
     "sgemm": lambda a, b: kernels.sgemm_counters(a.shape[0], a.shape[1], b.shape[1]),
     "spmm": lambda a, x: kernels.spmm_counters(a.num_rows, a.nnz, x.shape[1]),

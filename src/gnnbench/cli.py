@@ -12,11 +12,13 @@ Each parameter is one :class:`CliConfig` field, which declares its
 default and its parser; the flags and the config-file keys are derived from
 those fields. A parameter resolves with precedence: command-line flag, then
 config-file entry, then the field default, and a flag value and a file
-value go through the same parser. The config file is plain UTF-8
-``key = value`` lines with ``#`` comments, where keys equal the long flag
-names; it is named by ``--config`` or the ``GSUITE_CONFIG`` environment
-variable. Validation is fail-fast: nothing is computed until the whole
-configuration is resolved and checked.
+value go through the same parser; a flag value may start with ``-``, as
+in ``--epsilon -1e-3``. The config file is plain UTF-8 ``key = value``
+lines, where keys equal the long flag names; a ``#`` starts a comment at
+the start of a line or after whitespace, so ``output = out#1.json`` keeps
+its ``#``. The file is named by ``--config`` or the ``GSUITE_CONFIG``
+environment variable. Validation is fail-fast: nothing is computed until
+the whole configuration is resolved and checked.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 internal consistency (determinism or equivalence) failure.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from typing import Optional
 
@@ -144,6 +147,9 @@ class CliConfig:
 
 _SETTINGS = {f.name: f for f in dataclasses.fields(CliConfig)}
 
+# a comment starts at a "#" that begins the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 def read_config_file(path: str) -> dict:
     """Parse a ``key = value`` config file; unknown keys are rejected."""
@@ -154,7 +160,7 @@ def read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -187,13 +193,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    # argparse takes a value that starts with "-" for an option, so each
+    # "--<setting> <value>" pair reaches it as one "--<setting>=<value>"
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = None
+        if token.startswith("--") and token[2:] in _SETTINGS:
+            value = next(tokens, None)
+        joined.append(token if value is None else f"{token}={value}")
+    return build_parser().parse_args(joined)
+
+
 def parse_config(argv, config_file: Optional[str] = None) -> CliConfig:
     """Resolve a full CliConfig from flags, config file, and defaults.
 
     ``config_file`` is a fallback path (normally from ``GSUITE_CONFIG``);
     an explicit ``--config`` flag wins over it.
     """
-    return _resolve_config(build_parser().parse_args(argv), config_file)
+    return _resolve_config(_parse_args(argv), config_file)
 
 
 def _resolve_config(args: argparse.Namespace,
@@ -380,7 +399,7 @@ _DATA_ERRORS = (FormatError, ParseError, ShapeError, IndexRangeError,
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         if args.command == "datasets":
             return datasets()
         cfg = _resolve_config(args, os.environ.get(CONFIG_ENV_VAR))

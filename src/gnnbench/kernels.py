@@ -4,8 +4,12 @@ The four primitives every pipeline decomposes into:
 
 - ``index_select``: gather rows of a dense matrix by an index vector,
 - ``scatter``: segment-reduce rows back onto destinations (sum/mean/max),
+  optionally scaling each row by a per-edge weight as it is summed,
 - ``sgemm``: dense matrix multiplication,
-- ``spmm`` / ``spgemm``: sparse-times-dense and sparse-times-sparse products.
+- ``spmm``: sparse-times-dense product.
+
+``spgemm``, a sparse-times-sparse product, is kept as a standalone kernel;
+no pipeline calls it.
 
 Every kernel is a pure function and bitwise deterministic: accumulation
 order is fixed (ascending edge index, or CSR storage order) regardless of
@@ -17,10 +21,12 @@ CSR-times-dense product evaluated by ``scipy.sparse``: each output row
 starts from zero and adds ``values[t] * x[col_idx[t]]`` for its entries
 ``t`` in storage order, one rounding per multiply and per add. ``spmm``
 passes its matrix as is; ``scatter`` passes the destination-sorted edge
-permutation with unit values, which keeps ascending edge order within each
-destination; ``sgemm`` passes its left operand as a dense CSR that keeps
-explicit zeros, so ``inf * 0`` still yields NaN and the inner dimension is
-summed in ascending order, as in the scalar triple loop.
+permutation, which keeps ascending edge order within each destination,
+with its per-edge weights (unit values when it has none) as the values,
+so a weighted sum needs no e x f temporary; ``sgemm`` passes its left
+operand as a dense CSR that keeps explicit zeros, so ``inf * 0`` still
+yields NaN and the inner dimension is summed in ascending order, as in the
+scalar triple loop.
 
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
@@ -38,7 +44,8 @@ spgemm          2*w         w + nnz_a     2*w + 2*nnz_a       nnz_out
 ==============  ==========  ============  ==================  =========
 
 where ``w`` is the spgemm multiply-add work, the number of (a-entry,
-b-entry) contribution pairs.
+b-entry) contribution pairs. The scatter rows count the accumulation adds
+only: a weighted scatter's e*f multiplies are not counted.
 """
 
 from __future__ import annotations
@@ -187,13 +194,19 @@ def index_select(x: np.ndarray, index) -> np.ndarray:
     return x[index]
 
 
-def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
+def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM,
+            weights=None) -> np.ndarray:
     """Segment-reduce rows of ``src`` onto ``n`` destinations.
 
     ``out[i]`` reduces ``{src[k] : index[k] == i}``; sum and mean accumulate
     in ascending k order, mean divides by the receiver count. Destinations
     that receive no rows are zero for every reduce op (isolated nodes keep
     finite embeddings).
+
+    An optional per-row ``weights`` vector scales each row as it is summed:
+    ``out[i] = sum_k weights[k] * src[k]`` with one rounding per multiply
+    and per add, the same bytes as scattering ``weights[:, None] * src``.
+    MAX takes no weights.
     """
     src = np.asarray(src)
     if src.ndim != 2:
@@ -203,18 +216,29 @@ def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM) -> np.n
         raise ShapeError(
             f"index length {len(index)} != source rows {src.shape[0]}"
         )
+    if weights is not None:
+        weights = np.asarray(weights)
+        if weights.shape != index.shape:
+            raise ShapeError(
+                f"weights shape {weights.shape} != ({len(index)},), one per "
+                "source row"
+            )
     counts = np.bincount(index, minlength=n)
     if op is ReduceOp.SUM or op is ReduceOp.MEAN:
         row_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptr[1:])
         # a stable sort keeps ascending k within each destination
         order = np.argsort(index, kind="stable")
-        out = _csr_matmul(row_ptr, order, np.ones(len(index), dtype=src.dtype), src)
+        values = (np.ones(len(index), dtype=src.dtype) if weights is None
+                  else weights[order])
+        out = _csr_matmul(row_ptr, order, values, src)
         if op is ReduceOp.MEAN:
             received = counts > 0
-            out[received] /= counts[received, None].astype(src.dtype)
+            out[received] /= counts[received, None].astype(out.dtype)
         return out
     if op is ReduceOp.MAX:
+        if weights is not None:
+            raise ValueError("scatter max takes no weights")
         out = np.full((n, src.shape[1]), -np.inf, dtype=src.dtype)
         np.maximum.at(out, index, src)
         out[counts == 0] = 0

@@ -35,6 +35,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import kernels
 from .errors import ConfigError, ShapeError
@@ -218,12 +219,27 @@ class PipelineContext:
     adj: Optional[CsrGraph] = None
 
 
-def _mp_context(src, dst, coeff=None) -> PipelineContext:
+def _destination_order(dst: np.ndarray, n: int) -> np.ndarray:
+    """The stable sort permutation of ``dst`` (values in ``[0, n)``), in O(e + n).
+
+    Row ``v`` of the ``n x e`` destination-incidence matrix holds a one at
+    column ``k`` for every edge ``k`` into ``v``; its canonical CSR lists
+    each row's columns in ascending order, so the column indices are the
+    edges sorted by destination, each destination keeping its edges in
+    ascending order, as ``np.argsort(dst, kind="stable")`` gives them.
+    """
+    e = len(dst)
+    incidence = scipy.sparse.coo_array(
+        (np.ones(e, dtype=np.int8), (dst, np.arange(e))), shape=(n, e))
+    return incidence.tocsr().indices.astype(np.int64, copy=False)
+
+
+def _mp_context(g: CooGraph, coeff=None) -> PipelineContext:
     # edges sorted by destination, stably, so each destination keeps its
     # edges in ascending order and scatter's own stable sort runs on
     # sorted input
-    order = np.argsort(dst, kind="stable")
-    return PipelineContext(src=src[order], dst=dst[order],
+    order = _destination_order(g.dst, g.num_nodes)
+    return PipelineContext(src=g.src[order], dst=g.dst[order],
                            coeff=None if coeff is None else coeff[order])
 
 
@@ -232,7 +248,7 @@ def _gcn_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     # weighted graphs stay equivalent to the normalized-adjacency route
     looped = add_self_loops(g)
     coeff = sym_norm_coefficients(looped, compute_degrees(looped))
-    return _mp_context(looped.src, looped.dst, coeff * looped.weights)
+    return _mp_context(looped, coeff * looped.weights)
 
 
 def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
@@ -240,7 +256,7 @@ def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
 
 
 def _gin_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    return _mp_context(g.src, g.dst, g.weights)
+    return _mp_context(g, g.weights)
 
 
 def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
@@ -249,15 +265,15 @@ def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
 
 def _sage_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     looped = add_self_loops(g)
-    return _mp_context(looped.src, looped.dst)
+    return _mp_context(looped)
 
 
 # ``k`` is the kernel backend: the kernels module itself, or an object
 # duck-typing it (instrumented runs).
 def _gcn_mp_apply(ctx, n, x, p, act, k):
-    y = k.sgemm(x, p.theta)
-    msgs = ctx.coeff[:, None] * k.index_select(y, ctx.src)
-    return apply_activation(k.scatter(msgs, ctx.dst, n, ReduceOp.SUM), act)
+    msgs = k.index_select(k.sgemm(x, p.theta), ctx.src)
+    return apply_activation(k.scatter(msgs, ctx.dst, n, ReduceOp.SUM, ctx.coeff),
+                            act)
 
 
 def _spmm_apply(ctx, n, x, p, act, k):
@@ -265,8 +281,8 @@ def _spmm_apply(ctx, n, x, p, act, k):
 
 
 def _gin_mp_apply(ctx, n, x, p, act, k):
-    msgs = ctx.coeff[:, None] * k.index_select(x, ctx.src)
-    agg = k.scatter(msgs, ctx.dst, n, ReduceOp.SUM)
+    agg = k.scatter(k.index_select(x, ctx.src), ctx.dst, n, ReduceOp.SUM,
+                    ctx.coeff)
     return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
 
 

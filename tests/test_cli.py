@@ -379,3 +379,50 @@ class TestErPairCap:
         assert n * (n - 1) > data.MAX_ER_PAIRS
         with pytest.raises(ConfigError, match="cap"):
             cli.parse_config(["run", "--dataset", f"er:{n}:0.1:1"])
+
+
+class TestDashLeadingValues:
+    @pytest.mark.parametrize("key,text,expected", [
+        ("epsilon", "-1e-3", -0.001), ("epsilon", "-0.5", -0.5),
+        ("output", "-report.json", "-report.json"), ("output", "-", "-")])
+    def test_spaced_joined_and_file_agree(self, key, text, expected, tmp_path):
+        conf = tmp_path / "bench.conf"
+        conf.write_text(f"{key} = {text}\n")
+        spaced = cli.parse_config(["run", f"--{key}", text])
+        joined = cli.parse_config(["run", f"--{key}={text}"])
+        from_file = cli.parse_config(["run", "--config", str(conf)])
+        assert spaced == joined == from_file
+        assert getattr(spaced, key) == expected
+
+    def test_run_with_negative_epsilon(self, capsys):
+        assert cli.main(["run", "--model", "gin", "--epsilon", "-1e-3",
+                         "--dataset", "er:8:0.5:1", "--repeats", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"]["epsilon"] == -0.001
+
+    def test_bad_dash_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed"):
+            cli.parse_config(["run", "--seed", "-1"])
+
+    def test_missing_value_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["run", "--epsilon"])
+        assert exc.value.code == 2
+
+
+class TestConfigComments:
+    def parse(self, tmp_path, text):
+        conf = tmp_path / "bench.conf"
+        conf.write_text(text)
+        return cli.parse_config(["run", "--config", str(conf)])
+
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        assert self.parse(tmp_path, "output = out#1.json\n").output == "out#1.json"
+
+    @pytest.mark.parametrize("line", ["seed = 3  # note", "seed = 3\t# note",
+                                      "seed = 3 #note"])
+    def test_comment_after_whitespace(self, line, tmp_path):
+        assert self.parse(tmp_path, line + "\n").seed == 3
+
+    def test_comment_lines(self, tmp_path):
+        cfg = self.parse(tmp_path, "# top\n   # indented\nseed = 4\n#seed = 5\n")
+        assert cfg.seed == 4

@@ -25,7 +25,7 @@ from gnnbench.graph import (
     csr_to_dense,
     normalized_adjacency,
 )
-from gnnbench import kernels
+from gnnbench import bench, kernels
 from gnnbench.kernels import (
     OpCounters,
     ReduceOp,
@@ -389,3 +389,72 @@ class TestSparseProductPrimitive:
         assert calls == [4, 5, 3, 3]
         scatter(x, [2, 0, 2], 4, ReduceOp.MAX)
         assert len(calls) == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the oracles
+class TestWeightedScatter:
+    """``scatter(..., weights)`` against the route it replaces: scale the
+    rows by ``weights[:, None] * src``, then scatter the products."""
+
+    @given(st.data(), st.sampled_from(["sum", "mean"]), st.sampled_from(FLOATS),
+           st.sampled_from(FLOATS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scaled_add_at(self, data, op, src_dtype, w_dtype):
+        n = data.draw(st.integers(1, 5))
+        e = data.draw(st.integers(0, 10))
+        f = data.draw(st.integers(0, 3))
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=e, max_size=e)), dtype=np.int64)
+        src = data.draw(special_arrays((e, f), src_dtype))
+        weights = data.draw(special_arrays((e,), w_dtype))
+        want = add_at_scatter(weights[:, None] * src, index, n, op)
+        assert same_bits(scatter(src, index, n, ReduceOp(op), weights), want)
+
+    @pytest.mark.parametrize("op", ["sum", "mean"])
+    @pytest.mark.parametrize("e,f", [(0, 1), (0, 3), (7, 1)])
+    def test_no_edges_and_one_feature(self, op, e, f):
+        src = rand((e, f), 3)
+        index = (uniform_array(4, e) * 3).astype(np.int64)
+        weights = rand((e,), 5)
+        want = add_at_scatter(weights[:, None] * src, index, 3, op)
+        assert same_bits(scatter(src, index, 3, ReduceOp(op), weights), want)
+
+    def test_special_weights(self):
+        # NaN, +-inf and -0.0 weights act as they do in the products
+        src = np.array([[1.0, 0.0], [0.0, -3.0], [4.0, 5.0], [-1.0, 1.0]])
+        weights = np.array([np.nan, np.inf, -np.inf, -0.0])
+        index = [3, 0, 1, 2]
+        got = scatter(src, index, 4, ReduceOp.SUM, weights)
+        assert same_bits(got, add_at_scatter(weights[:, None] * src,
+                                             np.array(index), 4, "sum"))
+        assert np.isnan(got[3]).all() and np.isnan(got[0, 0])  # inf * 0
+        assert got[0, 1] == -np.inf and (got[1] == -np.inf).all()
+        assert not np.signbit(got[2]).any()  # each sum starts from +0.0
+
+    def test_unit_weights_are_the_unweighted_sum(self):
+        src = rand((9, 4), 6)
+        index = np.array([4, 0, 2, 0, 4, 1, 1, 0, 3])
+        assert same_bits(scatter(src, index, 5, ReduceOp.SUM, np.ones(9)),
+                         scatter(src, index, 5, ReduceOp.SUM))
+
+    @pytest.mark.parametrize("weights", [np.ones(2), np.ones(4), np.ones((3, 1))])
+    def test_wrong_weights_shape(self, weights):
+        with pytest.raises(ShapeError, match="weights"):
+            scatter(np.ones((3, 2)), [0, 1, 0], 2, ReduceOp.SUM, weights)
+
+    def test_max_takes_no_weights(self):
+        with pytest.raises(ValueError, match="weights"):
+            scatter(np.ones((3, 2)), [0, 1, 0], 2, ReduceOp.MAX, np.ones(3))
+
+    @pytest.mark.parametrize("op", [ReduceOp.SUM, ReduceOp.MEAN])
+    def test_counters_ignore_weights(self, op):
+        # the cost-model row counts the accumulation adds only
+        src = rand((6, 3), 7)
+        index = [1, 0, 1, 2, 0, 1]
+        plain, weighted = bench.Instrumentation(), bench.Instrumentation()
+        plain.scatter(src, index, 4, op)
+        weighted.scatter(src, index, 4, op, rand((6,), 8))
+        (calls, _, counters), = plain.snapshot().values()
+        (w_calls, _, w_counters), = weighted.snapshot().values()
+        assert (w_calls, w_counters) == (calls, counters) == \
+            (1, scatter_counters(6, 3, 4, op))

@@ -1,8 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_layer
 
+from gnnbench.bench import cast_inputs
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, ShapeError
 from gnnbench.graph import CooGraph, add_self_loops, coo
@@ -19,10 +25,12 @@ from gnnbench.models import (
     gin_layer_mp,
     gin_layer_spmm,
     init_weights,
+    prepare,
     relu,
     sage_layer_mp,
     sigmoid,
 )
+from gnnbench.models import _destination_order
 
 IDENT = Activation.IDENTITY
 
@@ -334,3 +342,83 @@ class TestPipelineContext:
             got = [(int(s), w) for s, d, w in zip(ctx.src, ctx.dst, got_coeff)
                    if d == v]
             assert got == want
+
+
+class TestDestinationOrder:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort(self, data):
+        # n crosses the int16 and uint16 ranges; edges repeat and many
+        # nodes receive none
+        n = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 2**17)))
+        e = data.draw(st.integers(0, 40))
+        dst = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                          min_size=e, max_size=e)), dtype=np.int64)
+        got = _destination_order(dst, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(dst, kind="stable"))
+
+    def test_no_edges(self):
+        assert _destination_order(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+
+
+def _peak_per_message_byte(model, g, x):
+    """``tracemalloc`` peak of a forward over the bytes of one e x f array."""
+    f = x.shape[1]
+    spec = spec_for(model, "mp", (f, f, f))
+    params = init_weights(spec)
+    ctx = prepare(spec, g)
+    forward(spec, params, g, x, ctx=ctx)  # first-call allocations
+    tracemalloc.start()
+    try:
+        forward(spec, params, g, x, ctx=ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (len(ctx.src) * f * x.itemsize)
+
+
+class TestForwardMemory:
+    @pytest.mark.parametrize("model", ["gcn", "gin"])
+    def test_one_message_array_per_layer(self, model):
+        # the gathered messages are the only e x f array a layer holds: the
+        # per-edge scale rides in scatter's CSR values
+        g = gen_er_graph(400, 0.05, 1)
+        assert _peak_per_message_byte(model, g, gen_features(400, 16, 1)) < 1.5
+
+
+def _pinned_graphs():
+    yield gen_er_graph(40, 0.15, 11), gen_features(40, 6, 11)
+    # a weighted multigraph with duplicate edges and self-loops
+    src = np.array([3, 1, 2, 1, 0, 2, 2, 4, 4, 0, 3, 3])
+    dst = np.array([2, 0, 2, 0, 3, 0, 2, 4, 1, 0, 2, 1])
+    w = np.array([0.5, 1.25, 2.0, 0.75, 3.0, 1.5, 0.25, 2.5, 1.0, 0.5, 1.75, 4.0])
+    yield CooGraph(5, src, dst, w), gen_features(5, 6, 12)
+
+
+# SHA-256 over every (graph, precision, activation) output of a pipeline.
+# Sigmoid is left out: it goes through the platform's libm exp.
+PINNED_OUTPUTS = {
+    "gcn-mp": "4bd1f4aa2f73c58d841c1dfee08785881844910a5d7fcebf2ccf5959a0cd00c1",
+    "gcn-spmm": "f7ad3f8b1914dcbdc95473fc607d3ae3863d79befa58480b23a2a443b2efee9a",
+    "gin-mp": "2cc9a281579c6b20e54a653b970a922cd7ab55e16d68f57045266ca46fadef5b",
+    "gin-spmm": "9f117915bcd134ab3ba290f9d85123d6eb18da2e400c760b4d2b7b94e874b371",
+    "sage-mp": "8fcf738b020a403c7d8b1f975ba4ebf6b2cef28be1a788f2cb29fb2faf1b39dc",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_outputs_keep_their_bytes(self, name):
+        model, comp = name.split("-")
+        digest = hashlib.sha256()
+        for g, x in _pinned_graphs():
+            for precision in ("f32", "f64"):
+                for act in (Activation.RELU, IDENT):
+                    spec = spec_for(model, comp, (6, 5, 3), act, eps=0.375, seed=9)
+                    g_t, x_t, params = cast_inputs(spec, g, x, precision)
+                    out = forward(spec, params, g_t, x_t)
+                    digest.update(out.dtype.str.encode())
+                    digest.update(repr(out.shape).encode())
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == PINNED_OUTPUTS[name]
