@@ -13,7 +13,6 @@ from .bench import (
     KernelStats,
     RunReport,
     compare_runs,
-    emit_report,
     instrumented_run,
     parse_report_json,
 )
@@ -49,7 +48,6 @@ from .kernels import (
     index_select,
     scatter,
     sgemm,
-    spgemm,
     spmm,
 )
 from .models import (

@@ -57,7 +57,6 @@ __all__ = [
     "PRECISIONS",
     "REPORT_WRITERS",
     "cast_inputs",
-    "emit_report",
     "report_to_json",
     "report_to_csv",
     "parse_report_json",
@@ -320,13 +319,6 @@ def report_to_csv(report: RunReport) -> str:
 
 
 REPORT_WRITERS = {"json": report_to_json, "csv": report_to_csv}
-
-
-def emit_report(report: RunReport, format: str, sink) -> None:
-    """Serialize a report to a writable text sink in a REPORT_WRITERS format."""
-    if format not in REPORT_WRITERS:
-        raise ValueError(f"unknown report format {format!r}")
-    sink.write(REPORT_WRITERS[format](report))
 
 
 def compare_runs(a: RunReport, b: RunReport) -> ComparisonSummary:

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary in (("run", "run an instrumented benchmark"),
                           ("check", "run the equivalence and determinism checks")):
-        p = sub.add_parser(name, help=summary)
+        # no prefix matching: a setting has one spelling, as in a config file
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         # flags stay strings here: each value goes through its field's
         # parser, exactly as a config-file value does
         for f in _SETTINGS.values():

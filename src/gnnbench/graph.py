@@ -9,7 +9,7 @@ Three interchangeable representations flow between kernels:
 - dense ``numpy.ndarray``: materialized adjacency, used as a test oracle and
   guarded by a node-count limit.
 
-Edge orientation convention: messages flow src -> dst, and adjacency rows
+Edge direction convention: messages flow src -> dst, and adjacency rows
 index the destination, i.e. row i of the CSR matrix lists the in-neighbors
 of node i. With that convention a sparse-times-dense product against the
 feature matrix directly produces per-node aggregations.
@@ -193,20 +193,13 @@ def csr_identity(n: int, dtype=np.float64) -> CsrGraph:
     return CsrGraph(n, n, np.arange(n + 1), np.arange(n), np.ones(n, dtype=dtype))
 
 
-def coo_to_csr(g: CooGraph, orientation: str = "by_dst_rows") -> CsrGraph:
+def coo_to_csr(g: CooGraph) -> CsrGraph:
     """Canonical CSR of the adjacency matrix: entry [dst][src] = summed weight.
 
     Row i lists the in-neighbors of node i; duplicate (src, dst) pairs are
-    coalesced by summation in edge order. ``by_dst_rows`` is the only
-    supported orientation.
+    coalesced by summation in edge order.
     """
-    if orientation != "by_dst_rows":
-        raise FormatError(f"unsupported orientation {orientation!r}")
     n = g.num_nodes
-    if g.num_edges == 0:
-        return CsrGraph(n, n, np.zeros(n + 1, dtype=np.int64),
-                        np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=g.weights.dtype))
     # stable: duplicates of a pair stay in edge order
     order = np.lexsort((g.src, g.dst))
     rows = g.dst[order]
@@ -301,18 +294,22 @@ def sym_norm_coefficients(g: CooGraph, degrees: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(d_src * d_dst)
 
 
-def normalized_adjacency(g: CooGraph) -> CsrGraph:
-    """Symmetrically normalized adjacency with self-loops inserted.
+def normalized_edges(g: CooGraph) -> CooGraph:
+    """Self-looped edge list with every weight scaled by 1/sqrt(d_src * d_dst).
 
-    Inserts self-loops, computes weighted degrees on the result, and scales
-    every entry [i][j] by 1/sqrt(d_i * d_j); returned in canonical CSR form.
+    Inserts self-loops and computes weighted degrees on the result; the
+    edges keep the order :func:`add_self_loops` gives them.
     """
     looped = add_self_loops(g)
-    degrees = compute_degrees(looped)
-    coeff = sym_norm_coefficients(looped, degrees)
-    scaled = CooGraph(looped.num_nodes, looped.src, looped.dst,
-                      looped.weights * coeff)
-    return coo_to_csr(scaled)
+    coeff = sym_norm_coefficients(looped, compute_degrees(looped))
+    return CooGraph(looped.num_nodes, looped.src, looped.dst,
+                    looped.weights * coeff)
+
+
+def normalized_adjacency(g: CooGraph) -> CsrGraph:
+    """Symmetrically normalized adjacency with self-loops inserted, in
+    canonical CSR form: the CSR of :func:`normalized_edges`."""
+    return coo_to_csr(normalized_edges(g))
 
 
 __all__ = [
@@ -327,6 +324,7 @@ __all__ = [
     "add_self_loops",
     "compute_degrees",
     "sym_norm_coefficients",
+    "normalized_edges",
     "normalized_adjacency",
     "DEFAULT_DENSE_LIMIT",
 ]

@@ -8,9 +8,6 @@ The four primitives every pipeline decomposes into:
 - ``sgemm``: dense matrix multiplication,
 - ``spmm``: sparse-times-dense product.
 
-``spgemm``, a sparse-times-sparse product, is kept as a standalone kernel;
-no pipeline calls it.
-
 Every kernel is a pure function and bitwise deterministic: accumulation
 order is fixed (ascending edge index, or CSR storage order) regardless of
 how the work might be partitioned, so repeated runs on identical inputs
@@ -40,12 +37,10 @@ scatter (sum)   e*f         e*(f+1)       e*(f+1)             e*f
 scatter (mean)  e*f + n*f   e*(f+1)       e*(f+1)             e*f
 sgemm           2*m*k*n     m*n           2*m*k*n             m*n
 spmm            2*nnz*f     nnz*(f+1)     nnz*(f+1) + nnz*f   n*f
-spgemm          2*w         w + nnz_a     2*w + 2*nnz_a       nnz_out
 ==============  ==========  ============  ==================  =========
 
-where ``w`` is the spgemm multiply-add work, the number of (a-entry,
-b-entry) contribution pairs. The scatter rows count the accumulation adds
-only: a weighted scatter's e*f multiplies are not counted.
+The scatter rows count the accumulation adds only: a weighted scatter's e*f
+multiplies are not counted.
 """
 
 from __future__ import annotations
@@ -66,13 +61,10 @@ __all__ = [
     "scatter",
     "sgemm",
     "spmm",
-    "spgemm",
     "index_select_counters",
     "scatter_counters",
     "sgemm_counters",
     "spmm_counters",
-    "spgemm_counters",
-    "spgemm_work",
 ]
 
 
@@ -133,18 +125,6 @@ def sgemm_counters(m: int, k: int, n: int) -> OpCounters:
 def spmm_counters(n: int, nnz: int, f: int) -> OpCounters:
     return OpCounters(fp_ops=2 * nnz * f, int_ops=nnz * (f + 1),
                       loads=nnz * (f + 1) + nnz * f, stores=n * f)
-
-
-def spgemm_counters(work: int, nnz_a: int, nnz_out: int) -> OpCounters:
-    return OpCounters(fp_ops=2 * work, int_ops=work + nnz_a,
-                      loads=2 * work + 2 * nnz_a, stores=nnz_out)
-
-
-def spgemm_work(a: CsrGraph, b: CsrGraph) -> int:
-    """Multiply-add pair count of ``spgemm(a, b)``."""
-    if a.nnz == 0:
-        return 0
-    return int(np.diff(b.row_ptr)[a.col_idx].sum())
 
 
 # Element types scipy's sparsetools loops are compiled for; it upcasts any
@@ -275,46 +255,3 @@ def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
         )
     return _csr_matmul(a.row_ptr, a.col_idx, a.values, x)
 
-
-def spgemm(a: CsrGraph, b: CsrGraph) -> CsrGraph:
-    """Sparse-times-sparse product in canonical CSR form.
-
-    Uses a per-row accumulator; output columns are sorted ascending, and
-    entries that cancel to exactly zero are retained explicitly (the result
-    keeps the full structural pattern).
-    """
-    if a.num_cols != b.num_rows:
-        raise ShapeError(
-            f"spgemm shape mismatch: {a.num_rows}x{a.num_cols} x "
-            f"{b.num_rows}x{b.num_cols}"
-        )
-    dtype = np.result_type(a.values, b.values)
-    accum = np.zeros(b.num_cols, dtype=dtype)
-    stamp = np.full(b.num_cols, -1, dtype=np.int64)
-    out_cols = []
-    out_vals = []
-    counts = np.zeros(a.num_rows, dtype=np.int64)
-    for i in range(a.num_rows):
-        touched = []
-        for t in range(a.row_ptr[i], a.row_ptr[i + 1]):
-            j = a.col_idx[t]
-            va = a.values[t]
-            lo, hi = b.row_ptr[j], b.row_ptr[j + 1]
-            cols = b.col_idx[lo:hi]
-            fresh = stamp[cols] != i
-            if fresh.any():
-                fresh_cols = cols[fresh]
-                stamp[fresh_cols] = i
-                accum[fresh_cols] = 0
-                touched.append(fresh_cols)
-            accum[cols] += va * b.values[lo:hi]
-        if touched:
-            row_cols = np.sort(np.concatenate(touched))
-            out_cols.append(row_cols)
-            out_vals.append(accum[row_cols].copy())
-            counts[i] = len(row_cols)
-    row_ptr = np.zeros(a.num_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    col_idx = np.concatenate(out_cols) if out_cols else np.zeros(0, dtype=np.int64)
-    values = np.concatenate(out_vals) if out_vals else np.zeros(0, dtype=dtype)
-    return CsrGraph(a.num_rows, b.num_cols, row_ptr, col_idx, values)

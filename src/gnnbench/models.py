@@ -43,10 +43,9 @@ from .graph import (
     CooGraph,
     CsrGraph,
     add_self_loops,
-    compute_degrees,
     coo_to_csr,
     normalized_adjacency,
-    sym_norm_coefficients,
+    normalized_edges,
 )
 from .kernels import ReduceOp
 from .rng import mix_key, uniform_array
@@ -246,9 +245,8 @@ def _mp_context(g: CooGraph, coeff=None) -> PipelineContext:
 def _gcn_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
     # per-edge message scale: edge weight times 1/sqrt(d_src * d_dst), so
     # weighted graphs stay equivalent to the normalized-adjacency route
-    looped = add_self_loops(g)
-    coeff = sym_norm_coefficients(looped, compute_degrees(looped))
-    return _mp_context(looped, coeff * looped.weights)
+    edges = normalized_edges(g)
+    return _mp_context(edges, edges.weights)
 
 
 def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:

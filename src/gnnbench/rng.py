@@ -3,9 +3,9 @@
 All randomized artifacts in the package (synthetic graphs, feature tables,
 weight initialization) draw from SplitMix64 so that identical seeds produce
 bit-identical results on any platform. The generator state after ``i`` steps
-is ``seed + i * GOLDEN (mod 2**64)``, which allows the whole stream to be
-evaluated as a vectorized counter-based function of the seed; the vectorized
-and sequential forms are bit-identical.
+is ``seed + i * GOLDEN (mod 2**64)``, so the whole stream is evaluated as a
+vectorized counter-based function of the seed, bit-identical to the
+sequential form kept as a test oracle in ``tests/oracles.py``.
 
 Uniform doubles in [0, 1) take the top 53 bits of each 64-bit output.
 """
@@ -26,21 +26,6 @@ def _scramble(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return _scramble(self._state)
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-
 def mix_key(seed: int, *fields: int) -> int:
     """Derive a 64-bit stream key from a seed and integer context fields.
 
@@ -56,7 +41,7 @@ def mix_key(seed: int, *fields: int) -> int:
 def uniform_array(seed: int, count: int) -> np.ndarray:
     """Vectorized stream of ``count`` uniform doubles in [0, 1).
 
-    Bit-identical to taking ``count`` draws from ``SplitMix64(seed)``.
+    Bit-identical to ``count`` sequential draws from ``seed``.
     """
     if count == 0:
         return np.zeros(0, dtype=np.float64)
@@ -68,4 +53,4 @@ def uniform_array(seed: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-__all__ = ["SplitMix64", "mix_key", "uniform_array", "MASK64", "GOLDEN"]
+__all__ = ["mix_key", "uniform_array", "MASK64", "GOLDEN"]

@@ -2,7 +2,8 @@
 
 Most of this is deliberately naive pure-Python arithmetic over nested
 lists: scalar triple-loop matrix multiplication, explicit edge-walking for
-densification, degrees, normalization, and segment reduction. None of the
+densification, degrees, normalization, and segment reduction, plus the
+sequential SplitMix64 stream that ``gnnbench.rng`` vectorizes. None of the
 package's kernel code paths are reused, so agreement between a kernel and
 its oracle is meaningful evidence.
 
@@ -193,6 +194,24 @@ def csr_from_dense(matrix):
                 values.append(v)
         row_ptr.append(len(col_idx))
     return row_ptr, col_idx, values
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream, one step per draw on Python ints."""
+
+    def __init__(self, seed):
+        self._state = seed & (2**64 - 1)
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & (2**64 - 1)
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+        return z ^ (z >> 31)
+
+    def next_float(self):
+        """Uniform double in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
 
 
 # -- numpy oracles: the replaced implementations ------------------------------

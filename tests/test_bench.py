@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -8,7 +7,6 @@ from gnnbench import bench, models
 from gnnbench.bench import (
     Instrumentation,
     compare_runs,
-    emit_report,
     instrumented_run,
     parse_report_json,
     report_to_csv,
@@ -248,17 +246,6 @@ class TestReportSerialization:
         assert lines[0] == ("kernel,calls,mean_ns,time_share_pct,fp_ops,"
                             "int_ops,loads,stores")
         assert len(lines) == len(report.per_kernel) + 1
-
-    def test_emit_to_sink(self, small_run):
-        _, _, _, report = small_run
-        sink = io.StringIO()
-        emit_report(report, "json", sink)
-        assert parse_report_json(sink.getvalue()) == report
-
-    def test_unknown_format(self, small_run):
-        _, _, _, report = small_run
-        with pytest.raises(ValueError):
-            emit_report(report, "xml", io.StringIO())
 
 
 class TestCompareRuns:

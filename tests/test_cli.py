@@ -129,6 +129,10 @@ class TestParseConfig:
         assert "epsilon must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_report_format_rejected(self):
+        with pytest.raises(ConfigError, match="format"):
+            cli.parse_config(["run", "--format", "xml"])
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["run", "--bogus", "1"])
@@ -323,6 +327,18 @@ class TestFlagFileParity:
         usage = capsys.readouterr().out.split("options:")[0]
         flags = set(re.findall(r"--([a-z_]+)", usage)) - {"help"}
         assert flags == {f.name for f in dataclasses.fields(cli.CliConfig)} | {"config"}
+
+    @pytest.mark.parametrize("argv", [["--eps", "0.5"], ["--eps", "-1e-3"],
+                                      ["--eps=0.5"]])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_abbreviated_flag_rejected_like_file_key(self, command, argv,
+                                                     tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command] + argv)
+        assert exc.value.code == 2
+        conf = tmp_path / "bench.conf"
+        conf.write_text("eps = 0.5\n")
+        assert cli.main([command, "--config", str(conf)]) == 2
 
 
 class TestPipelineRule:

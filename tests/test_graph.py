@@ -47,10 +47,13 @@ class TestCooToCsr:
         assert a.values.tolist() == vals
 
     def test_empty_graph(self):
-        a = coo_to_csr(coo(2))
-        assert a.row_ptr.tolist() == [0, 0, 0]
-        assert a.col_idx.tolist() == []
-        assert a.values.tolist() == []
+        for dtype in (np.float32, np.float64):
+            a = coo_to_csr(coo(2).astype(dtype))
+            assert a.row_ptr.tolist() == [0, 0, 0]
+            assert a.col_idx.tolist() == []
+            assert a.values.tolist() == []
+            assert a.row_ptr.dtype == a.col_idx.dtype == np.int64
+            assert a.values.dtype == dtype
 
     def test_duplicate_edges_sum(self):
         g = coo(2, src=[0, 0], dst=[1, 1])
@@ -60,10 +63,6 @@ class TestCooToCsr:
         ptr, cols, vals = csr_from_dense(dense_adjacency(g))
         assert (a.row_ptr.tolist(), a.col_idx.tolist(), a.values.tolist()) == \
             (ptr, cols, vals)
-
-    def test_orientation_rejected(self):
-        with pytest.raises(FormatError):
-            coo_to_csr(coo(2), orientation="by_src_rows")
 
 
 class TestCsrToCoo:

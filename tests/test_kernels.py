@@ -35,9 +35,6 @@ from gnnbench.kernels import (
     scatter_counters,
     sgemm,
     sgemm_counters,
-    spgemm,
-    spgemm_counters,
-    spgemm_work,
     spmm,
     spmm_counters,
 )
@@ -209,49 +206,6 @@ class TestSpmm:
     def test_counters(self):
         c = spmm_counters(n=4, nnz=10, f=3)
         assert (c.fp_ops, c.int_ops, c.loads, c.stores) == (60, 40, 70, 12)
-
-
-class TestSpgemm:
-    def test_times_identity_is_bitwise_identity(self):
-        a = coo_to_csr(gen_er_graph(9, 0.3, 4))
-        assert spgemm(a, csr_identity(9)) == a
-
-    def test_diagonal_scales_rows(self):
-        a = coo_to_csr(coo(3, src=[0, 1, 2], dst=[1, 2, 2],
-                           weights=[2.0, 3.0, 4.0]))
-        diag = CsrGraph(3, 3, [0, 1, 2, 3], [0, 1, 2], [10.0, 20.0, 30.0])
-        got = csr_to_dense(spgemm(diag, a))
-        want = np.diag([10.0, 20.0, 30.0]) @ csr_to_dense(a)
-        assert got.tolist() == want.tolist()
-
-    def test_er_product_matches_dense_oracle(self):
-        a = coo_to_csr(gen_er_graph(16, 0.25, 5))
-        b = coo_to_csr(gen_er_graph(16, 0.25, 6))
-        got = np.array(dense_from_csr(spgemm(a, b)))
-        want = np.array(naive_matmul(dense_from_csr(a), dense_from_csr(b)))
-        assert np.abs(got - want).max() <= 1e-12
-
-    def test_cancellation_keeps_explicit_zero(self):
-        a = CsrGraph(1, 2, [0, 2], [0, 1], [1.0, -1.0])
-        b = CsrGraph(2, 1, [0, 1, 2], [0, 0], [1.0, 1.0])
-        out = spgemm(a, b)
-        assert out.nnz == 1
-        assert out.values.tolist() == [0.0]
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            spgemm(csr_identity(2), csr_identity(3))
-
-    def test_counters_and_work(self):
-        a = coo_to_csr(gen_er_graph(8, 0.4, 2))
-        b = coo_to_csr(gen_er_graph(8, 0.4, 3))
-        work = spgemm_work(a, b)
-        nnz_per_row_b = np.diff(b.row_ptr)
-        assert work == sum(int(nnz_per_row_b[j]) for j in a.col_idx)
-        out = spgemm(a, b)
-        c = spgemm_counters(work, a.nnz, out.nnz)
-        assert c.fp_ops == 2 * work
-        assert c.stores == out.nnz
 
 
 class TestCrossKernelProperties:

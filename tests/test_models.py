@@ -11,7 +11,7 @@ from oracles import dense_layer
 from gnnbench.bench import cast_inputs
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, ShapeError
-from gnnbench.graph import CooGraph, add_self_loops, coo
+from gnnbench.graph import CooGraph, add_self_loops, coo, normalized_edges
 from gnnbench.models import (
     PIPELINES,
     Activation,
@@ -331,11 +331,13 @@ class TestPipelineContext:
                      np.array([2, 0, 2, 0, 3, 0, 2]),
                      np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
         ctx = PIPELINES[Model(model), CompModel.MP].prepare(g, 0.0)
-        edges = g if model == "gin" else add_self_loops(g)
+        # GCN scales each message by its normalized edge weight
+        edges = {"gcn": normalized_edges(g), "gin": g,
+                 "sage": add_self_loops(g)}[model]
         assert np.all(np.diff(ctx.dst) >= 0)
         # within each destination, the edges keep their order in the list
-        coeff = edges.weights if model == "gin" else np.zeros(edges.num_edges)
-        got_coeff = ctx.coeff if model == "gin" else np.zeros(edges.num_edges)
+        coeff = edges.weights if model != "sage" else np.zeros(edges.num_edges)
+        got_coeff = ctx.coeff if model != "sage" else np.zeros(edges.num_edges)
         for v in range(g.num_nodes):
             want = [(int(s), w) for s, d, w in zip(edges.src, edges.dst, coeff)
                     if d == v]
