@@ -279,28 +279,40 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+# The JSON type of each report key (a bool is never a number here).
+_NUMBER = (int, float)
+_REPORT_KEYS = {"version": str, "spec": dict, "dataset": dict, "repeats": int,
+                "end_to_end_ns": _NUMBER, "kernels": list, "time_share": dict,
+                "op_share": dict}
+_KERNEL_KEYS = {"name": str, "calls": int, "mean_ns": _NUMBER, "fp_ops": int,
+                "int_ops": int, "loads": int, "stores": int}
+
+
+def _checked(where: str, obj, keys: dict) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object ({type(obj).__name__})")
+    for key, kind in keys.items():
+        value = obj.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise FormatError(f"{where} key {key!r} " + (
+                f"holds a {type(value).__name__}" if key in obj else "is missing"))
+    return obj
+
+
 def parse_report_json(text: str) -> RunReport:
-    doc = json.loads(text)
-    per_kernel = [
-        KernelStats(
-            entry["name"],
-            entry["calls"],
-            entry["mean_ns"],
-            OpCounters(entry["fp_ops"], entry["int_ops"], entry["loads"],
-                       entry["stores"]),
-        )
-        for entry in doc["kernels"]
-    ]
-    return RunReport(
-        version=doc["version"],
-        spec=doc["spec"],
-        dataset=doc["dataset"],
-        repeats=doc["repeats"],
-        end_to_end_ns=doc["end_to_end_ns"],
-        per_kernel=per_kernel,
-        time_share=doc["time_share"],
-        op_share=doc["op_share"],
-    )
+    """The report a JSON document holds; FormatError names what is malformed."""
+    try:
+        doc = _checked("report", json.loads(text), _REPORT_KEYS)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"report is not JSON: {exc}") from None
+    per_kernel = []
+    for i, k in enumerate(doc["kernels"]):
+        k = _checked(f"report kernels[{i}]", k, _KERNEL_KEYS)
+        per_kernel.append(KernelStats(
+            k["name"], k["calls"], k["mean_ns"],
+            OpCounters(k["fp_ops"], k["int_ops"], k["loads"], k["stores"])))
+    return RunReport(per_kernel=per_kernel, **{
+        key: doc[key] for key in _REPORT_KEYS if key != "kernels"})
 
 
 def report_to_csv(report: RunReport) -> str:

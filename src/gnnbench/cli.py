@@ -90,9 +90,12 @@ def _parse_seed(key: str, value) -> int:
 
 def _parse_float(key: str, value) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return x
 
 
 def _setting(default, parse, metavar=None, help=None):

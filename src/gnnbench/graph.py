@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CapacityError, FormatError, NormalizationError
 
@@ -193,6 +194,25 @@ def csr_identity(n: int, dtype=np.float64) -> CsrGraph:
     return CsrGraph(n, n, np.arange(n + 1), np.arange(n), np.ones(n, dtype=dtype))
 
 
+def _stable_node_order(nodes: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(nodes, kind="stable")`` for values in ``[0, n)``, in O(e + n).
+
+    Row ``v`` of the ``n x e`` incidence matrix holds a one at each column
+    ``k`` with ``nodes[k] == v``; its canonical CSR lists each row's columns
+    in ascending order, so its column indices are that permutation.
+    """
+    e = len(nodes)
+    incidence = scipy.sparse.coo_array(
+        (np.ones(e, dtype=np.int8), (nodes, np.arange(e))), shape=(n, e))
+    return incidence.tocsr().indices.astype(np.int64, copy=False)
+
+
+def sort_by_destination(g: CooGraph) -> CooGraph:
+    """The edges stably sorted by destination (each keeps its edges' order)."""
+    order = _stable_node_order(g.dst, g.num_nodes)
+    return CooGraph(g.num_nodes, g.src[order], g.dst[order], g.weights[order])
+
+
 def coo_to_csr(g: CooGraph) -> CsrGraph:
     """Canonical CSR of the adjacency matrix: entry [dst][src] = summed weight.
 
@@ -200,8 +220,9 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     coalesced by summation in edge order.
     """
     n = g.num_nodes
-    # stable: duplicates of a pair stay in edge order
-    order = np.lexsort((g.src, g.dst))
+    # stable passes by source, then destination: duplicates keep edge order
+    by_src = _stable_node_order(g.src, n)
+    order = by_src[_stable_node_order(g.dst[by_src], n)]
     rows = g.dst[order]
     cols = g.src[order]
     first = np.ones(len(order), dtype=bool)
@@ -279,19 +300,24 @@ def compute_degrees(g: CooGraph) -> np.ndarray:
 def sym_norm_coefficients(g: CooGraph, degrees: np.ndarray) -> np.ndarray:
     """Per-edge coefficient 1/sqrt(d_src * d_dst).
 
-    Requires strictly positive degrees at both endpoints of every edge,
-    which self-loop insertion guarantees.
+    Requires strictly positive degrees at both endpoints of every edge, as
+    self-loop insertion gives unit-weight graphs, and a product of the two
+    that neither underflows to zero nor overflows to infinity.
     """
     d_src = degrees[g.src]
     d_dst = degrees[g.dst]
-    bad = np.flatnonzero((d_src <= 0) | (d_dst <= 0))
+    with np.errstate(over="ignore"):
+        product = d_src * d_dst
+    bad = np.flatnonzero((d_src <= 0) | (d_dst <= 0) | (product == 0)
+                         | ~np.isfinite(product))
     if len(bad):
         k = int(bad[0])
         raise NormalizationError(
-            f"edge {k} ({int(g.src[k])} -> {int(g.dst[k])}) touches a "
-            "zero-degree node; insert self-loops before normalizing"
+            f"edge {k} ({int(g.src[k])} -> {int(g.dst[k])}) joins degrees "
+            f"{d_src[k]} and {d_dst[k]}, whose product is not a positive "
+            "finite number"
         )
-    return 1.0 / np.sqrt(d_src * d_dst)
+    return 1.0 / np.sqrt(product)
 
 
 def normalized_edges(g: CooGraph) -> CooGraph:
@@ -318,6 +344,7 @@ __all__ = [
     "coo",
     "csr_identity",
     "coo_to_csr",
+    "sort_by_destination",
     "csr_to_coo",
     "coo_to_dense",
     "csr_to_dense",

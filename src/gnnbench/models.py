@@ -18,6 +18,12 @@ sparse-matrix (SpMM) model as well:
   ``N(v) + {v}`` (self-loops inserted). SAGE has no SpMM formulation here,
   and requesting one is rejected.
 
+Each pipeline is one table entry: the edge list its layers aggregate over
+and its layer update. :func:`prepare` lays that list out once per run, as
+its computational model reads it: a ``CooGraph`` stably sorted by
+destination under MP (GCN and GIN pass its weights to ``scatter`` as the
+per-edge scale), the canonical ``CsrGraph`` under SpMM.
+
 The two computational models of the same network agree within floating
 point reordering error; that equivalence is the central correctness
 property and is enforced by the test suite and the ``check`` CLI command.
@@ -35,7 +41,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import kernels
 from .errors import ConfigError, ShapeError
@@ -44,8 +49,8 @@ from .graph import (
     CsrGraph,
     add_self_loops,
     coo_to_csr,
-    normalized_adjacency,
     normalized_edges,
+    sort_by_destination,
 )
 from .kernels import ReduceOp
 from .rng import mix_key, uniform_array
@@ -56,7 +61,6 @@ __all__ = [
     "Activation",
     "ModelSpec",
     "LayerParams",
-    "PipelineContext",
     "Pipeline",
     "PIPELINES",
     "pipeline_for",
@@ -71,7 +75,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "apply_activation",
-    "gin_operator",
 ]
 
 
@@ -198,102 +201,45 @@ def init_weights(spec: ModelSpec) -> list:
     return params
 
 
-def gin_operator(g: CooGraph, epsilon: float) -> CsrGraph:
-    """CSR of ``A + (1 + eps) I`` built from the raw edge list."""
+def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
+    # A + (1 + eps) I: the raw edges, then one 1 + eps loop per node
     nodes = np.arange(g.num_nodes, dtype=np.int64)
-    src = np.concatenate([g.src, nodes])
-    dst = np.concatenate([g.dst, nodes])
-    loop_w = np.full(g.num_nodes, 1.0 + epsilon, dtype=g.weights.dtype)
-    weights = np.concatenate([g.weights, loop_w])
-    return coo_to_csr(CooGraph(g.num_nodes, src, dst, weights))
+    loops = np.full(g.num_nodes, 1.0 + epsilon, dtype=g.weights.dtype)
+    return CooGraph(g.num_nodes, np.concatenate([g.src, nodes]),
+                    np.concatenate([g.dst, nodes]),
+                    np.concatenate([g.weights, loops]))
 
 
-@dataclass(frozen=True)
-class PipelineContext:
-    """Per-run edge structures, computed once and reused across layers."""
-
-    src: Optional[np.ndarray] = None
-    dst: Optional[np.ndarray] = None
-    coeff: Optional[np.ndarray] = None
-    adj: Optional[CsrGraph] = None
-
-
-def _destination_order(dst: np.ndarray, n: int) -> np.ndarray:
-    """The stable sort permutation of ``dst`` (values in ``[0, n)``), in O(e + n).
-
-    Row ``v`` of the ``n x e`` destination-incidence matrix holds a one at
-    column ``k`` for every edge ``k`` into ``v``; its canonical CSR lists
-    each row's columns in ascending order, so the column indices are the
-    edges sorted by destination, each destination keeping its edges in
-    ascending order, as ``np.argsort(dst, kind="stable")`` gives them.
-    """
-    e = len(dst)
-    incidence = scipy.sparse.coo_array(
-        (np.ones(e, dtype=np.int8), (dst, np.arange(e))), shape=(n, e))
-    return incidence.tocsr().indices.astype(np.int64, copy=False)
-
-
-def _mp_context(g: CooGraph, coeff=None) -> PipelineContext:
-    # edges sorted by destination, stably, so each destination keeps its
-    # edges in ascending order and scatter's own stable sort runs on
-    # sorted input
-    order = _destination_order(g.dst, g.num_nodes)
-    return PipelineContext(src=g.src[order], dst=g.dst[order],
-                           coeff=None if coeff is None else coeff[order])
-
-
-def _gcn_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    # per-edge message scale: edge weight times 1/sqrt(d_src * d_dst), so
-    # weighted graphs stay equivalent to the normalized-adjacency route
-    edges = normalized_edges(g)
-    return _mp_context(edges, edges.weights)
-
-
-def _gcn_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    return PipelineContext(adj=normalized_adjacency(g))
-
-
-def _gin_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    return _mp_context(g, g.weights)
-
-
-def _gin_spmm_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    return PipelineContext(adj=gin_operator(g, epsilon))
-
-
-def _sage_mp_context(g: CooGraph, epsilon: float) -> PipelineContext:
-    looped = add_self_loops(g)
-    return _mp_context(looped)
-
-
-# ``k`` is the kernel backend: the kernels module itself, or an object
-# duck-typing it (instrumented runs).
-def _gcn_mp_apply(ctx, n, x, p, act, k):
+# ``ctx`` is the prepared edge list (see :func:`prepare`). ``k`` is the
+# kernel backend: the kernels module itself, or an object duck-typing it
+# (instrumented runs).
+def _gcn_mp_apply(ctx, x, p, act, k):
     msgs = k.index_select(k.sgemm(x, p.theta), ctx.src)
-    return apply_activation(k.scatter(msgs, ctx.dst, n, ReduceOp.SUM, ctx.coeff),
-                            act)
+    return apply_activation(
+        k.scatter(msgs, ctx.dst, ctx.num_nodes, ReduceOp.SUM, ctx.weights), act)
 
 
-def _spmm_apply(ctx, n, x, p, act, k):
-    return apply_activation(k.sgemm(k.spmm(ctx.adj, x), p.theta), act)
+def _spmm_apply(ctx, x, p, act, k):
+    return apply_activation(k.sgemm(k.spmm(ctx, x), p.theta), act)
 
 
-def _gin_mp_apply(ctx, n, x, p, act, k):
-    agg = k.scatter(k.index_select(x, ctx.src), ctx.dst, n, ReduceOp.SUM,
-                    ctx.coeff)
+def _gin_mp_apply(ctx, x, p, act, k):
+    agg = k.scatter(k.index_select(x, ctx.src), ctx.dst, ctx.num_nodes,
+                    ReduceOp.SUM, ctx.weights)
     return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
 
 
-def _sage_mp_apply(ctx, n, x, p, act, k):
-    mean = k.scatter(k.index_select(x, ctx.src), ctx.dst, n, ReduceOp.MEAN)
+def _sage_mp_apply(ctx, x, p, act, k):
+    mean = k.scatter(k.index_select(x, ctx.src), ctx.dst, ctx.num_nodes,
+                     ReduceOp.MEAN)
     return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2), act)
 
 
 class Pipeline(NamedTuple):
     """How one (model, computational model) pair is built and run."""
 
-    prepare: Callable  # (g, epsilon) -> PipelineContext
-    apply: Callable    # (ctx, num_nodes, x, params, activation, kernels) -> x'
+    edges: Callable    # (g, epsilon) -> the CooGraph the layers aggregate over
+    apply: Callable    # (ctx, x, params, activation, kernels) -> x'
     weights: tuple     # (LayerParams field, weight stream role) per matrix
 
 
@@ -302,13 +248,20 @@ _THETA = (("theta", 0),)
 _SELF_AND_NEIGHBOR = (("w1", 1), ("w2", 2))
 
 PIPELINES = {
-    (Model.GCN, CompModel.MP): Pipeline(_gcn_mp_context, _gcn_mp_apply, _THETA),
-    (Model.GCN, CompModel.SPMM): Pipeline(_gcn_spmm_context, _spmm_apply, _THETA),
-    (Model.GIN, CompModel.MP): Pipeline(_gin_mp_context, _gin_mp_apply, _THETA),
-    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_context, _spmm_apply, _THETA),
-    (Model.SAGE, CompModel.MP): Pipeline(_sage_mp_context, _sage_mp_apply,
-                                         _SELF_AND_NEIGHBOR),
+    (Model.GCN, CompModel.MP): Pipeline(lambda g, eps: normalized_edges(g),
+                                        _gcn_mp_apply, _THETA),
+    (Model.GCN, CompModel.SPMM): Pipeline(lambda g, eps: normalized_edges(g),
+                                          _spmm_apply, _THETA),
+    (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_apply, _THETA),
+    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_apply, _THETA),
+    (Model.SAGE, CompModel.MP): Pipeline(lambda g, eps: add_self_loops(g),
+                                         _sage_mp_apply, _SELF_AND_NEIGHBOR),
 }
+
+# How each computational model lays out a pipeline's edges: MP walks them
+# in destination order, so scatter's own stable sort runs on sorted input;
+# SpMM multiplies by their canonical CSR.
+_LAYOUT = {CompModel.MP: sort_by_destination, CompModel.SPMM: coo_to_csr}
 
 
 def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
@@ -322,9 +275,12 @@ def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
         ) from None
 
 
-def prepare(spec: ModelSpec, g: CooGraph) -> PipelineContext:
-    """Precompute the edge structures the selected pipeline needs."""
-    return PIPELINES[spec.model, spec.comp_model].prepare(g, spec.epsilon)
+def prepare(spec: ModelSpec, g: CooGraph) -> CooGraph | CsrGraph:
+    """The pipeline's edges in its computational model's layout: a
+    ``CooGraph`` stably sorted by destination under MP, the canonical
+    ``CsrGraph`` under SpMM."""
+    edges = PIPELINES[spec.model, spec.comp_model].edges(g, spec.epsilon)
+    return _LAYOUT[spec.comp_model](edges)
 
 
 def _check_rows(g: CooGraph, x: np.ndarray):
@@ -335,13 +291,13 @@ def _check_rows(g: CooGraph, x: np.ndarray):
 
 
 def _single_layer(model: str, comp: str, doc: str):
-    pipeline = PIPELINES[Model(model), CompModel(comp)]
+    comp_model = CompModel(comp)
+    pipeline, layout = PIPELINES[Model(model), comp_model], _LAYOUT[comp_model]
 
     def layer(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
               instr=None) -> np.ndarray:
         _check_rows(g, x)
-        ctx = pipeline.prepare(g, p.epsilon)
-        return pipeline.apply(ctx, g.num_nodes, x, p, act,
+        return pipeline.apply(layout(pipeline.edges(g, p.epsilon)), x, p, act,
                               kernels if instr is None else instr)
 
     layer.__name__ = layer.__qualname__ = f"{model}_layer_{comp}"
@@ -383,14 +339,15 @@ def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]
 
 
 def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
-            x: np.ndarray, instr=None, ctx: Optional[PipelineContext] = None
-            ) -> np.ndarray:
+            x: np.ndarray, instr=None,
+            ctx: Optional[CooGraph | CsrGraph] = None) -> np.ndarray:
     """Run the full pipeline, threading the feature matrix through every layer.
 
-    The activation is applied after every layer including the last. Edge
-    structures are computed once (or taken from a caller-supplied ``ctx``)
-    and reused across layers. Every layer's ``epsilon`` must equal the
-    spec's, which is the one the edge structures are built with.
+    The activation is applied after every layer including the last. The
+    edges in the computational model's layout are prepared once (or taken
+    from a caller-supplied ``ctx``, as :func:`prepare` returns them) and
+    reused across layers. Every layer's ``epsilon`` must equal the spec's,
+    which is the one the edges are prepared with.
     """
     _check_rows(g, x)
     if x.shape[1] != spec.dims[0]:
@@ -400,9 +357,9 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
     pipeline = PIPELINES[spec.model, spec.comp_model]
     _check_params(spec, pipeline.weights, params)
     if ctx is None:
-        ctx = pipeline.prepare(g, spec.epsilon)
+        ctx = prepare(spec, g)
     k = kernels if instr is None else instr
     h = x
     for p in params:
-        h = pipeline.apply(ctx, g.num_nodes, h, p, spec.activation, k)
+        h = pipeline.apply(ctx, h, p, spec.activation, k)
     return h

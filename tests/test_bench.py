@@ -240,6 +240,27 @@ class TestReportSerialization:
         assert all(set(k) == {"name", "calls", "mean_ns", "fp_ops", "int_ops",
                               "loads", "stores"} for k in doc["kernels"])
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {}, "report key 'version' is missing"),
+        (lambda doc: [], r"report is not a JSON object \(list\)"),
+        (lambda doc: {**doc, "kernels": [
+            {k: v for k, v in doc["kernels"][0].items() if k != "loads"}]},
+         r"report kernels\[0\] key 'loads' is missing"),
+        (lambda doc: {**doc, "repeats": "3"},
+         "report key 'repeats' holds a str"),
+        (lambda doc: {**doc, "kernels": [7]},
+         r"report kernels\[0\] is not a JSON object \(int\)"),
+    ], ids=["empty-object", "list", "kernel-without-loads", "string-repeats",
+            "kernel-not-object"])
+    def test_malformed_json_names_the_key(self, small_run, edit, message):
+        doc = json.loads(report_to_json(small_run[3]))
+        with pytest.raises(FormatError, match=message):
+            parse_report_json(json.dumps(edit(doc)))
+
+    def test_not_json_rejected(self):
+        with pytest.raises(FormatError, match="report is not JSON"):
+            parse_report_json("kernel,calls\n")
+
     def test_csv_row_count(self, small_run):
         _, _, _, report = small_run
         lines = report_to_csv(report).strip().split("\n")

@@ -129,6 +129,17 @@ class TestParseConfig:
         assert "epsilon must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_rejected_before_any_work(self, value,
+                                                         monkeypatch):
+        def fail(*args):
+            raise AssertionError("the graph was generated")
+
+        monkeypatch.setattr(cli.data, "gen_er_graph", fail)
+        argv = ["run", "--model", "gin", "--dataset", "er:3000:0.001:1",
+                f"--epsilon={value}"]
+        assert cli.main(argv) == 2
+
     def test_unknown_report_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             cli.parse_config(["run", "--format", "xml"])

@@ -26,11 +26,29 @@ from gnnbench.graph import (
     normalized_adjacency,
     sym_norm_coefficients,
 )
+from gnnbench.graph import _stable_node_order
 from gnnbench.data import gen_er_graph
 
 
 def edge_set(g):
     return sorted(zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist()))
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 2^17 nodes, with endpoints drawn from a pool of at most eight
+    nodes so that edges repeat at every size."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(1, 2**9),
+                       st.integers(2**16 + 1, 2**17)))
+    pool = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=8)))
+    e = draw(st.integers(0, 30))
+    src = draw(st.lists(pool, min_size=e, max_size=e))
+    dst = draw(st.lists(pool, min_size=e, max_size=e))
+    weights = draw(st.lists(st.floats(-8, 8, allow_nan=False,
+                                      allow_infinity=False),
+                            min_size=e, max_size=e))
+    return coo(n, src, dst, weights)
 
 
 class TestCooToCsr:
@@ -154,6 +172,14 @@ class TestSymNormCoefficients:
         with pytest.raises(NormalizationError):
             sym_norm_coefficients(g, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("degrees", [[1e-30, 1e-20], [1e20, 1e30]])
+    def test_f32_degree_product_out_of_range_rejected(self, degrees):
+        # the product underflows to zero or overflows to inf in float32
+        g = coo(3, src=[2, 0], dst=[2, 1])
+        d = np.array(degrees + [1.0], dtype=np.float32)
+        with pytest.raises(NormalizationError, match=r"edge 1 \(0 -> 1\)"):
+            sym_norm_coefficients(g, d)
+
 
 class TestNormalizedAdjacency:
     def test_single_node(self):
@@ -196,8 +222,7 @@ class TestProperties:
         # and both agree with the edge-walking oracle
         assert np.array_equal(direct, np.array(dense_adjacency(g)).reshape(direct.shape))
 
-    @given(coo_graphs(max_nodes=6, max_edges=30),
-           st.sampled_from([np.float32, np.float64]), st.data())
+    @given(multigraphs(), st.sampled_from([np.float32, np.float64]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_coo_to_csr_matches_unique_oracle(self, g, dtype, data):
         # signed zeros among the weights: a lone -0.0 coalesces to +0.0
@@ -220,6 +245,25 @@ class TestProperties:
     def test_degrees_at_least_one_after_loops(self, g):
         d = compute_degrees(add_self_loops(g))
         assert (d >= 1.0).all()
+
+
+class TestStableNodeOrder:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort(self, data):
+        # n crosses the int16 and uint16 ranges; nodes repeat and many
+        # appear nowhere
+        n = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 2**17)))
+        e = data.draw(st.integers(0, 40))
+        nodes = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=e, max_size=e)),
+                         dtype=np.int64)
+        got = _stable_node_order(nodes, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(nodes, kind="stable"))
+
+    def test_no_edges(self):
+        assert _stable_node_order(np.zeros(0, dtype=np.int64), 1).shape == (0,)
 
 
 class TestValidation:

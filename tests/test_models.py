@@ -10,8 +10,16 @@ from oracles import dense_layer
 
 from gnnbench.bench import cast_inputs
 from gnnbench.data import gen_er_graph, gen_features
-from gnnbench.errors import ConfigError, ShapeError
-from gnnbench.graph import CooGraph, add_self_loops, coo, normalized_edges
+from gnnbench.errors import ConfigError, NormalizationError, ShapeError
+from gnnbench.graph import (
+    CooGraph,
+    add_self_loops,
+    coo,
+    coo_to_csr,
+    coo_to_dense,
+    csr_to_dense,
+    normalized_edges,
+)
 from gnnbench.models import (
     PIPELINES,
     Activation,
@@ -30,7 +38,7 @@ from gnnbench.models import (
     sage_layer_mp,
     sigmoid,
 )
-from gnnbench.models import _destination_order
+from gnnbench.models import _LAYOUT
 
 IDENT = Activation.IDENTITY
 
@@ -122,6 +130,21 @@ class TestGcnLayers:
         assert np.abs(a - b).max() <= 1e-12
         want = np.array(dense_layer("gcn", g, x, p, "identity"))
         assert np.abs(a - want).max() <= 1e-9
+
+
+class TestDegreeProductRange:
+    @pytest.mark.parametrize("comp", ["mp", "spmm"])
+    @pytest.mark.parametrize("g", [
+        # d_0 * d_0 = 1e-400 underflows to zero
+        CooGraph(2, np.array([0, 1]), np.array([0, 1]), np.array([1e-200, 1.0])),
+        # d_0 * d_0 = 1e400 overflows to inf
+        CooGraph(1, np.array([0]), np.array([0]), np.array([1e200])),
+    ], ids=["underflow", "overflow"])
+    def test_rejected_naming_the_edge(self, g, comp):
+        spec = spec_for("gcn", comp, (2, 2))
+        x = gen_features(g.num_nodes, 2, 1)
+        with pytest.raises(NormalizationError, match=r"edge 0 \(0 -> 0\)"):
+            forward(spec, init_weights(spec), g, x)
 
 
 class TestGinLayers:
@@ -323,45 +346,46 @@ class TestSpecValidation:
             spec_for("gin", "spmm", (3, 3), eps=eps)
 
 
-class TestPipelineContext:
-    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
-    def test_mp_edges_by_destination_in_edge_order(self, model):
+def _expected_edges(name, g, eps):
+    if name == "gin-spmm":
+        # A + (1 + eps) I: the raw edges, then a 1 + eps loop per node
+        nodes = np.arange(g.num_nodes, dtype=np.int64)
+        loop_w = np.full(g.num_nodes, 1.0 + eps, dtype=g.weights.dtype)
+        return CooGraph(g.num_nodes, np.concatenate([g.src, nodes]),
+                        np.concatenate([g.dst, nodes]),
+                        np.concatenate([g.weights, loop_w]))
+    return {"gcn-mp": normalized_edges(g), "gcn-spmm": normalized_edges(g),
+            "gin-mp": g, "sage-mp": add_self_loops(g)}[name]
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("name", sorted(f"{m.value}-{c.value}"
+                                            for m, c in PIPELINES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges_in_their_computational_models_layout(self, name, dtype):
         # a weighted multigraph with duplicates and a self-loop
         g = CooGraph(4, np.array([3, 1, 2, 1, 0, 2, 2]),
                      np.array([2, 0, 2, 0, 3, 0, 2]),
-                     np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
-        ctx = PIPELINES[Model(model), CompModel.MP].prepare(g, 0.0)
-        # GCN scales each message by its normalized edge weight
-        edges = {"gcn": normalized_edges(g), "gin": g,
-                 "sage": add_self_loops(g)}[model]
-        assert np.all(np.diff(ctx.dst) >= 0)
-        # within each destination, the edges keep their order in the list
-        coeff = edges.weights if model != "sage" else np.zeros(edges.num_edges)
-        got_coeff = ctx.coeff if model != "sage" else np.zeros(edges.num_edges)
-        for v in range(g.num_nodes):
-            want = [(int(s), w) for s, d, w in zip(edges.src, edges.dst, coeff)
-                    if d == v]
-            got = [(int(s), w) for s, d, w in zip(ctx.src, ctx.dst, got_coeff)
-                   if d == v]
-            assert got == want
+                     np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], dtype=dtype))
+        model, comp = name.split("-")
+        eps = 0.375
+        edges = PIPELINES[Model(model), CompModel(comp)].edges(g, eps)
+        assert edges == _expected_edges(name, g, eps)
+        got = prepare(spec_for(model, comp, (3, 3), eps=eps), g)
+        # CooGraph and CsrGraph compare equal only to their own type
+        if comp == "mp":
+            # the edges into each node keep their edge-list order
+            order = np.argsort(edges.dst, kind="stable")
+            assert got == CooGraph(g.num_nodes, edges.src[order],
+                                   edges.dst[order], edges.weights[order])
+        else:
+            assert got == coo_to_csr(edges)
+        if name == "gin-spmm":
+            eye = (1.0 + eps) * np.eye(g.num_nodes, dtype=dtype)
+            assert csr_to_dense(got).tobytes() == (coo_to_dense(g) + eye).tobytes()
 
-
-class TestDestinationOrder:
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_stable_argsort(self, data):
-        # n crosses the int16 and uint16 ranges; edges repeat and many
-        # nodes receive none
-        n = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 2**17)))
-        e = data.draw(st.integers(0, 40))
-        dst = np.array(data.draw(st.lists(st.integers(0, n - 1),
-                                          min_size=e, max_size=e)), dtype=np.int64)
-        got = _destination_order(dst, n)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, np.argsort(dst, kind="stable"))
-
-    def test_no_edges(self):
-        assert _destination_order(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+    def test_one_layout_per_computational_model(self):
+        assert set(_LAYOUT) == set(CompModel)
 
 
 def _peak_per_message_byte(model, g, x):
