@@ -32,15 +32,13 @@ from .graph import (
     CooGraph,
     CsrGraph,
     add_self_loops,
-    compute_degrees,
     coo,
     coo_to_csr,
     coo_to_dense,
     csr_identity,
     csr_to_coo,
     csr_to_dense,
-    normalized_adjacency,
-    sym_norm_coefficients,
+    normalized_edges,
 )
 from .kernels import (
     OpCounters,

@@ -158,22 +158,25 @@ def read_config_file(path: str) -> dict:
     """Parse a ``key = value`` config file; unknown keys are rejected."""
     entries: dict = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _SETTINGS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            entries[key] = value
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                          f"0x{exc.object[exc.start]:02x}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _SETTINGS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        entries[key] = value
     return entries
 
 

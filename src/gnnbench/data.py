@@ -20,6 +20,7 @@ kernel must handle single-column features without special-casing.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,23 @@ def registry() -> list:
     return list(_REGISTRY)
 
 
+@contextlib.contextmanager
+def _utf8_text(path):
+    """The file opened as UTF-8 text; a byte that is not UTF-8 raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} "
+                             f"0x{exc.object[exc.start]:02x}") from None
+
+
 def load_edge_list(path) -> CooGraph:
     """Parse an edge-list file into a graph (unit edge weights)."""
     src: list = []
     dst: list = []
     declared_nodes = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -122,9 +134,12 @@ def load_edge_list(path) -> CooGraph:
                 raise ParseError(
                     f"{path}:{lineno}: non-integer node index in {line!r}"
                 ) from None
-            if u < 0 or v < 0:
-                raise ParseError(f"{path}:{lineno}: negative node index")
-            if declared_nodes is not None and max(u, v) >= declared_nodes:
+            if not (0 <= u < 2**63 and 0 <= v < 2**63):  # int64 node ids
+                raise ParseError(
+                    f"{path}:{lineno}: node index outside [0, 2^63) in {line!r}"
+                )
+            if declared_nodes is not None and (u >= declared_nodes
+                                               or v >= declared_nodes):
                 raise ParseError(
                     f"{path}:{lineno}: index {max(u, v)} exceeds declared "
                     f"node count {declared_nodes}"
@@ -144,7 +159,7 @@ def load_features(path, expected_nodes: int) -> np.ndarray:
     """Parse a header-less CSV of node features into an [n x f] matrix."""
     rows: list = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if line.strip() == "":

@@ -26,7 +26,7 @@ class IndexRangeError(IndexError):
 
 
 class NormalizationError(ValueError):
-    """A node with zero degree was encountered during normalization."""
+    """GCN normalization met an edge whose normalized weight is out of range."""
 
 
 class ConfigError(ValueError):

@@ -287,55 +287,37 @@ def add_self_loops(g: CooGraph) -> CooGraph:
     return CooGraph(g.num_nodes, src, dst, weights)
 
 
-def compute_degrees(g: CooGraph) -> np.ndarray:
-    """Weighted in-degree per node: degrees[i] = sum of weights into i.
+def normalized_edges(g: CooGraph) -> CooGraph:
+    """GCN's normalized edge list: self-loops added, then each weight scaled
+    by 1/sqrt(d_src * d_dst), d being the looped graph's weighted in-degree.
 
-    Equals the row sums of the adjacency built by :func:`coo_to_csr`; for
-    unit weights this is the plain in-edge count.
+    The edges keep the order :func:`add_self_loops` gives them, so input
+    edges keep their indices. Raises :class:`NormalizationError` naming the
+    first edge with a non-positive or overflowing degree at either end, a
+    degree product that underflows to zero or overflows, or a scaled weight
+    that is not finite.
     """
-    degrees = np.bincount(g.dst, weights=g.weights, minlength=g.num_nodes)
-    return degrees.astype(g.weights.dtype, copy=False)
-
-
-def sym_norm_coefficients(g: CooGraph, degrees: np.ndarray) -> np.ndarray:
-    """Per-edge coefficient 1/sqrt(d_src * d_dst).
-
-    Requires strictly positive degrees at both endpoints of every edge, as
-    self-loop insertion gives unit-weight graphs, and a product of the two
-    that neither underflows to zero nor overflows to infinity.
-    """
-    d_src = degrees[g.src]
-    d_dst = degrees[g.dst]
-    with np.errstate(over="ignore"):
+    looped = add_self_loops(g)
+    n = looped.num_nodes
+    dtype = looped.weights.dtype
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        degrees = np.bincount(looped.dst, weights=looped.weights,
+                              minlength=n).astype(dtype, copy=False)
+        d_src = degrees[looped.src]
+        d_dst = degrees[looped.dst]
         product = d_src * d_dst
+        weights = looped.weights * (1.0 / np.sqrt(product))
     bad = np.flatnonzero((d_src <= 0) | (d_dst <= 0) | (product == 0)
-                         | ~np.isfinite(product))
+                         | ~np.isfinite(product) | ~np.isfinite(weights))
     if len(bad):
         k = int(bad[0])
         raise NormalizationError(
-            f"edge {k} ({int(g.src[k])} -> {int(g.dst[k])}) joins degrees "
-            f"{d_src[k]} and {d_dst[k]}, whose product is not a positive "
-            "finite number"
+            f"edge {k} ({int(looped.src[k])} -> {int(looped.dst[k])}) of "
+            f"weight {looped.weights[k]} joins degrees {d_src[k]} and "
+            f"{d_dst[k]}; normalization needs positive degrees whose product "
+            "is finite and nonzero, and a finite scaled weight"
         )
-    return 1.0 / np.sqrt(product)
-
-
-def normalized_edges(g: CooGraph) -> CooGraph:
-    """Self-looped edge list with every weight scaled by 1/sqrt(d_src * d_dst).
-
-    Inserts self-loops and computes weighted degrees on the result; the
-    edges keep the order :func:`add_self_loops` gives them.
-    """
-    looped = add_self_loops(g)
-    coeff = sym_norm_coefficients(looped, compute_degrees(looped))
-    return CooGraph(looped.num_nodes, looped.src, looped.dst,
-                    looped.weights * coeff)
-
-
-def normalized_adjacency(g: CooGraph) -> CsrGraph:
-    """Symmetrically normalized adjacency with self-loops inserted, in
-    canonical CSR form: the CSR of :func:`normalized_edges`."""
-    return coo_to_csr(normalized_edges(g))
+    return CooGraph(n, looped.src, looped.dst, weights)
 
 
 __all__ = [
@@ -349,9 +331,6 @@ __all__ = [
     "coo_to_dense",
     "csr_to_dense",
     "add_self_loops",
-    "compute_degrees",
-    "sym_norm_coefficients",
     "normalized_edges",
-    "normalized_adjacency",
     "DEFAULT_DENSE_LIMIT",
 ]

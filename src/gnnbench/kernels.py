@@ -3,7 +3,7 @@
 The four primitives every pipeline decomposes into:
 
 - ``index_select``: gather rows of a dense matrix by an index vector,
-- ``scatter``: segment-reduce rows back onto destinations (sum/mean/max),
+- ``scatter``: segment-reduce rows back onto destinations (sum/mean),
   optionally scaling each row by a per-edge weight as it is summed,
 - ``sgemm``: dense matrix multiplication,
 - ``spmm``: sparse-times-dense product.
@@ -13,17 +13,16 @@ order is fixed (ascending edge index, or CSR storage order) regardless of
 how the work might be partitioned, so repeated runs on identical inputs
 produce identical bytes.
 
-``scatter`` (sum and mean), ``spmm`` and ``sgemm`` share one primitive, a
-CSR-times-dense product evaluated by ``scipy.sparse``: each output row
-starts from zero and adds ``values[t] * x[col_idx[t]]`` for its entries
-``t`` in storage order, one rounding per multiply and per add. ``spmm``
-passes its matrix as is; ``scatter`` passes the destination-sorted edge
-permutation, which keeps ascending edge order within each destination,
-with its per-edge weights (unit values when it has none) as the values,
-so a weighted sum needs no e x f temporary; ``sgemm`` passes its left
-operand as a dense CSR that keeps explicit zeros, so ``inf * 0`` still
-yields NaN and the inner dimension is summed in ascending order, as in the
-scalar triple loop.
+``scatter``, ``spmm`` and ``sgemm`` share one primitive, a CSR-times-dense
+product evaluated by ``scipy.sparse``: each output row starts from zero and
+adds ``values[t] * x[col_idx[t]]`` for its entries ``t`` in storage order,
+one rounding per multiply and per add. ``spmm`` passes its matrix as is;
+``scatter`` passes the destination-sorted edge permutation, which keeps
+ascending edge order within each destination, with its per-edge weights
+(unit values when it has none) as the values, so a weighted sum needs no
+e x f temporary; ``sgemm`` passes its left operand as a dense CSR that
+keeps explicit zeros, so ``inf * 0`` still yields NaN and the inner
+dimension is summed in ascending order, as in the scalar triple loop.
 
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
@@ -73,7 +72,6 @@ class ReduceOp(Enum):
 
     SUM = "sum"
     MEAN = "mean"
-    MAX = "max"
 
 
 @dataclass
@@ -180,13 +178,11 @@ def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM,
 
     ``out[i]`` reduces ``{src[k] : index[k] == i}``; sum and mean accumulate
     in ascending k order, mean divides by the receiver count. Destinations
-    that receive no rows are zero for every reduce op (isolated nodes keep
-    finite embeddings).
+    that receive no rows are zero (isolated nodes keep finite embeddings).
 
     An optional per-row ``weights`` vector scales each row as it is summed:
     ``out[i] = sum_k weights[k] * src[k]`` with one rounding per multiply
     and per add, the same bytes as scattering ``weights[:, None] * src``.
-    MAX takes no weights.
     """
     src = np.asarray(src)
     if src.ndim != 2:
@@ -203,27 +199,20 @@ def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM,
                 f"weights shape {weights.shape} != ({len(index)},), one per "
                 "source row"
             )
+    if not isinstance(op, ReduceOp):
+        raise ValueError(f"unknown reduce op {op!r}")
     counts = np.bincount(index, minlength=n)
-    if op is ReduceOp.SUM or op is ReduceOp.MEAN:
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptr[1:])
-        # a stable sort keeps ascending k within each destination
-        order = np.argsort(index, kind="stable")
-        values = (np.ones(len(index), dtype=src.dtype) if weights is None
-                  else weights[order])
-        out = _csr_matmul(row_ptr, order, values, src)
-        if op is ReduceOp.MEAN:
-            received = counts > 0
-            out[received] /= counts[received, None].astype(out.dtype)
-        return out
-    if op is ReduceOp.MAX:
-        if weights is not None:
-            raise ValueError("scatter max takes no weights")
-        out = np.full((n, src.shape[1]), -np.inf, dtype=src.dtype)
-        np.maximum.at(out, index, src)
-        out[counts == 0] = 0
-        return out
-    raise ValueError(f"unknown reduce op {op!r}")
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    # a stable sort keeps ascending k within each destination
+    order = np.argsort(index, kind="stable")
+    values = (np.ones(len(index), dtype=src.dtype) if weights is None
+              else weights[order])
+    out = _csr_matmul(row_ptr, order, values, src)
+    if op is ReduceOp.MEAN:
+        received = counts > 0
+        out[received] /= counts[received, None].astype(out.dtype)
+    return out
 
 
 def sgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

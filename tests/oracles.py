@@ -155,21 +155,13 @@ def scatter_reference(src, index, n, op):
     for i, members in enumerate(groups):
         if not members:
             continue
-        if op in ("sum", "mean"):
-            acc = [0.0] * f
-            for row in members:
-                for j in range(f):
-                    acc[j] = acc[j] + row[j]
-            if op == "mean":
-                acc = [v / len(members) for v in acc]
-            out[i] = acc
-        else:  # max
-            acc = members[0][:]
-            for row in members[1:]:
-                for j in range(f):
-                    if row[j] > acc[j]:
-                        acc[j] = row[j]
-            out[i] = acc
+        acc = [0.0] * f
+        for row in members:
+            for j in range(f):
+                acc[j] = acc[j] + row[j]
+        if op == "mean":
+            acc = [v / len(members) for v in acc]
+        out[i] = acc
     return out
 
 

@@ -290,6 +290,33 @@ class TestExitCodes:
         assert cli.main(["run", "--dataset",
                          f"{bad},{tmp_path / 'x.csv'}"]) == 3
 
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_bytes(b"seed = 3\nmodel = gc\xe9n\n")
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert f"config file {conf} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edges,features,bad", [
+        (b"0 1\n1 \xff\n", b"0.5\n1.5\n", "edges.txt"),
+        (b"0 1\n1 0\n", b"0.5\n\xff\n", "x.csv"),
+    ], ids=["edge-list", "features"])
+    def test_non_utf8_input_file_is_data_error(self, edges, features, bad,
+                                               tmp_path, capsys):
+        (tmp_path / "edges.txt").write_bytes(edges)
+        (tmp_path / "x.csv").write_bytes(features)
+        dataset = f"{tmp_path / 'edges.txt'},{tmp_path / 'x.csv'}"
+        assert cli.main(["run", "--dataset", dataset]) == 3
+        assert f"{tmp_path / bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_node_index_beyond_int64_is_data_error(self, tmp_path, capsys):
+        # line 1 holds the largest int64, line 2 one more
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 {2**63 - 1}\n{2**63} 0\n")
+        features = tmp_path / "x.csv"
+        features.write_text("0.5\n1.5\n")
+        assert cli.main(["run", "--dataset", f"{edges},{features}"]) == 3
+        assert f"{edges}:2: node index outside [0, 2^63)" in capsys.readouterr().err
+
 
 # One spelling per setting, and the value it must resolve to, whether it
 # comes from a flag or from a config file.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,13 @@ from gnnbench.graph import (
     CooGraph,
     CsrGraph,
     add_self_loops,
-    compute_degrees,
     coo,
     coo_to_csr,
     coo_to_dense,
     csr_identity,
     csr_to_coo,
     csr_to_dense,
-    normalized_adjacency,
-    sym_norm_coefficients,
+    normalized_edges,
 )
 from gnnbench.graph import _stable_node_order
 from gnnbench.data import gen_er_graph
@@ -138,63 +138,80 @@ class TestAddSelfLoops:
         assert edge_set(g) == [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
 
 
+def normalized_csr(g):
+    return coo_to_csr(normalized_edges(g))
+
+
 class TestComputeDegrees:
+    """Weighted in-degrees of the self-looped graph, read through the
+    normalized weights ``w / sqrt(d_src * d_dst)``."""
+
     def test_fully_connected_with_loops(self):
         pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
-        g = add_self_loops(coo(3, [u for u, _ in pairs], [v for _, v in pairs]))
-        assert compute_degrees(g).tolist() == [3.0, 3.0, 3.0]
+        g = coo(3, [u for u, _ in pairs], [v for _, v in pairs])
+        assert normalized_edges(g).weights.tolist() == [1 / math.sqrt(9)] * 9
 
     def test_isolated_node_after_loops(self):
-        g = add_self_loops(coo(1))
-        assert compute_degrees(g).tolist() == [1.0]
+        assert normalized_edges(coo(1)).weights.tolist() == [1.0]
 
     def test_duplicate_edges_count(self):
-        g = coo(2, src=[0, 0], dst=[1, 1])
-        assert compute_degrees(g).tolist() == [0.0, 2.0]
+        # d_0 = 1 (its loop), d_1 = 2 + 1: both copies of 0 -> 1 count
+        g = normalized_edges(coo(2, src=[0, 0], dst=[1, 1]))
+        assert edge_set(g) == [(0, 0, 1.0), (0, 1, 1 / math.sqrt(3)),
+                               (0, 1, 1 / math.sqrt(3)), (1, 1, 1 / math.sqrt(9))]
 
 
 class TestSymNormCoefficients:
+    """Each weight scaled by 1/sqrt(d_src * d_dst), and the edges whose
+    scaled weight is out of range rejected."""
+
     def test_equal_degree_three(self):
-        g = coo(2, src=[0], dst=[1])
-        c = sym_norm_coefficients(g, np.array([3.0, 3.0]))
-        assert c.tolist() == [pytest.approx(1 / 3)]
+        # loops of weight 3 and 2 give d_0 = 3 and d_1 = 1 + 2 = 3
+        g = coo(2, src=[0, 0, 1], dst=[1, 0, 1], weights=[1.0, 3.0, 2.0])
+        assert normalized_edges(g).weights[0] == pytest.approx(1 / 3)
 
     def test_self_loop_degree_one(self):
         g = coo(1, src=[0], dst=[0])
-        assert sym_norm_coefficients(g, np.array([1.0])).tolist() == [1.0]
+        assert normalized_edges(g).weights.tolist() == [1.0]
 
     def test_mixed_degrees(self):
-        g = coo(2, src=[0], dst=[1])
-        assert sym_norm_coefficients(g, np.array([1.0, 4.0])).tolist() == [0.5]
+        # d_0 = 1 from its appended loop, d_1 = 1 + 3
+        g = coo(2, src=[0, 1], dst=[1, 1], weights=[1.0, 3.0])
+        assert normalized_edges(g).weights.tolist() == [0.5, 0.75, 1.0]
 
     def test_zero_degree_rejected(self):
-        g = coo(2, src=[0], dst=[1])
-        with pytest.raises(NormalizationError):
-            sym_norm_coefficients(g, np.array([0.0, 1.0]))
+        # node 0's own zero-weight loop leaves it degree 0
+        g = coo(2, src=[0, 0], dst=[1, 0], weights=[1.0, 0.0])
+        with pytest.raises(NormalizationError, match=r"edge 0 \(0 -> 1\)"):
+            normalized_edges(g)
 
-    @pytest.mark.parametrize("degrees", [[1e-30, 1e-20], [1e20, 1e30]])
+    @pytest.mark.parametrize("degrees", [[1e-30, 1e-20], [1e20, 1e30],
+                                         [1.0, 6e38]])
     def test_f32_degree_product_out_of_range_rejected(self, degrees):
-        # the product underflows to zero or overflows to inf in float32
-        g = coo(3, src=[2, 0], dst=[2, 1])
-        d = np.array(degrees + [1.0], dtype=np.float32)
+        # d_2 = 1, and d_0 * d_1 underflows to zero or overflows to inf in
+        # float32, or d_1 itself does; d_1 is half edge 0 -> 1, half node
+        # 1's loop
+        d0, d1 = degrees
+        g = CooGraph(3, np.array([2, 0, 0, 1]), np.array([2, 1, 0, 1]),
+                     np.array([1.0, d1 / 2, d0, d1 / 2], dtype=np.float32))
         with pytest.raises(NormalizationError, match=r"edge 1 \(0 -> 1\)"):
-            sym_norm_coefficients(g, d)
+            normalized_edges(g)
 
 
 class TestNormalizedAdjacency:
     def test_single_node(self):
-        a = normalized_adjacency(coo(1))
+        a = normalized_csr(coo(1))
         assert csr_to_dense(a).tolist() == [[1.0]]
 
     def test_two_node_bidirectional(self):
-        a = normalized_adjacency(coo(2, src=[0, 1], dst=[1, 0]))
+        a = normalized_csr(coo(2, src=[0, 1], dst=[1, 0]))
         dense = csr_to_dense(a)
         assert dense.tolist() == [[0.5, 0.5], [0.5, 0.5]]
         assert dense.sum(axis=1).tolist() == [1.0, 1.0]
 
     def test_er_graph_matches_dense_oracle(self):
         g = gen_er_graph(16, 0.3, 7)
-        got = csr_to_dense(normalized_adjacency(g))
+        got = csr_to_dense(normalized_csr(g))
         want = np.array(dense_normalized(g))
         assert np.abs(got - want).max() <= 1e-12
 
@@ -202,7 +219,7 @@ class TestNormalizedAdjacency:
     @settings(max_examples=60, deadline=None)
     def test_symmetric_input_gives_symmetric_output(self, g):
         sym = symmetric_graph(g)
-        dense = csr_to_dense(normalized_adjacency(sym))
+        dense = csr_to_dense(normalized_csr(sym))
         assert np.abs(dense - dense.T).max() == 0.0
 
 
@@ -243,8 +260,10 @@ class TestProperties:
     @given(coo_graphs(unit_weights=True))
     @settings(max_examples=60, deadline=None)
     def test_degrees_at_least_one_after_loops(self, g):
-        d = compute_degrees(add_self_loops(g))
-        assert (d >= 1.0).all()
+        # unit weights: every degree is at least 1 iff no normalized weight,
+        # 1/sqrt(d_src * d_dst), exceeds 1 (a node's own loop gives 1/d)
+        w = normalized_edges(g).weights
+        assert ((w > 0.0) & (w <= 1.0)).all()
 
 
 class TestStableNodeOrder:

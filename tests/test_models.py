@@ -134,16 +134,21 @@ class TestGcnLayers:
 
 class TestDegreeProductRange:
     @pytest.mark.parametrize("comp", ["mp", "spmm"])
-    @pytest.mark.parametrize("g", [
+    @pytest.mark.parametrize("g,edge", [
         # d_0 * d_0 = 1e-400 underflows to zero
-        CooGraph(2, np.array([0, 1]), np.array([0, 1]), np.array([1e-200, 1.0])),
+        (CooGraph(2, np.array([0, 1]), np.array([0, 1]), np.array([1e-200, 1.0])),
+         "0 -> 0"),
         # d_0 * d_0 = 1e400 overflows to inf
-        CooGraph(1, np.array([0]), np.array([0]), np.array([1e200])),
-    ], ids=["underflow", "overflow"])
-    def test_rejected_naming_the_edge(self, g, comp):
+        (CooGraph(1, np.array([0]), np.array([0]), np.array([1e200])), "0 -> 0"),
+        # d_0 = d_1 = 1e-161: the product 1e-322 is in range, but the scaled
+        # weight 1e200 / 1e-161 overflows
+        (CooGraph(2, np.array([0, 0, 1, 0]), np.array([1, 1, 1, 0]),
+                  np.array([1e200, -1e200, 1e-161, 1e-161])), "0 -> 1"),
+    ], ids=["underflow", "overflow", "scaled-weight-overflow"])
+    def test_rejected_naming_the_edge(self, g, edge, comp):
         spec = spec_for("gcn", comp, (2, 2))
         x = gen_features(g.num_nodes, 2, 1)
-        with pytest.raises(NormalizationError, match=r"edge 0 \(0 -> 0\)"):
+        with pytest.raises(NormalizationError, match=rf"edge 0 \({edge}\)"):
             forward(spec, init_weights(spec), g, x)
 
 
