@@ -10,7 +10,8 @@ its oracle is meaningful evidence.
 The numpy section at the end keeps the implementations the package used
 before its sparse product primitive, its sort-based CSR build and its
 block-wise graph generator: ``np.add.at`` scatter and spmm, rank-1 sgemm,
-``np.unique`` coalescing and the whole-array Erdos-Renyi formula. They
+``np.unique`` coalescing and the whole-array Erdos-Renyi formula, which
+compares float draws with ``p`` where the package compares integers. They
 work in the operands' own dtype, so they pin f32 results bit for bit where
 the list-based oracles, which compute in Python floats, cannot.
 """
@@ -20,7 +21,6 @@ import math
 import numpy as np
 
 from gnnbench.graph import CsrGraph
-from gnnbench.rng import uniform_array
 
 
 def to_lists(x):
@@ -188,17 +188,25 @@ def csr_from_dense(matrix):
     return row_ptr, col_idx, values
 
 
+# SplitMix64's published constants, written out here rather than imported,
+# so the stream oracles share no code with ``gnnbench.rng``.
+_MASK64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream, one step per draw on Python ints."""
 
     def __init__(self, seed):
-        self._state = seed & (2**64 - 1)
+        self._state = seed & _MASK64
 
     def next_u64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & (2**64 - 1)
+        self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self):
@@ -253,11 +261,21 @@ def unique_coo_to_csr(g):
 
 
 def whole_array_er(n, p, seed):
-    """Erdos-Renyi (src, dst) from all n(n-1) draws at once, row-major."""
+    """Erdos-Renyi (src, dst) from all n(n-1) draws at once, row-major.
+
+    The draws are the whole stream as one vectorized counter-based formula,
+    state ``seed + i * GOLDEN`` at step ``i``, converted to float and
+    compared with ``p``.
+    """
     num_pairs = n * (n - 1) if n > 1 else 0
     if num_pairs == 0:
         return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    draws = uniform_array(seed, num_pairs)
+    steps = np.arange(1, num_pairs + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + steps * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    draws = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
     u = np.repeat(np.arange(n, dtype=np.int64), n - 1)
     pos = np.tile(np.arange(n - 1, dtype=np.int64), n)
     v = pos + (pos >= u)

@@ -1,9 +1,10 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import whole_array_er
+from oracles import SplitMix64, whole_array_er
 
 from gnnbench.data import (
     gen_er_graph,
@@ -13,6 +14,21 @@ from gnnbench.data import (
     registry,
 )
 from gnnbench.errors import FormatError, ParseError
+from gnnbench.rng import mix_key
+
+
+@functools.lru_cache(maxsize=None)
+def sequential_draws(count, seed):
+    stream = SplitMix64(seed)
+    return tuple(stream.next_float() for _ in range(count))
+
+
+def sequential_er(n, p, seed):
+    """Edges by the sequential rule: pair i in row-major order is kept when
+    its draw, a float, is below p."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    draws = sequential_draws(len(pairs), seed)
+    return [pair for pair, draw in zip(pairs, draws) if draw < p]
 
 
 class TestLoadEdgeList:
@@ -158,6 +174,35 @@ class TestGenErGraph:
             gen_er_graph(4, 1.5, 0)
 
 
+class TestErThreshold:
+    """The integer threshold keeps exactly the pairs whose float draw is
+    below p, at the edges of [0, 1] and at a draw itself."""
+
+    # 300 * 299 pairs span two blocks of the stream
+    SHAPES = [(2, 11), (17, 2**64 - 1), (300, 5)]
+
+    @staticmethod
+    def edges(g):
+        return list(zip(g.src.tolist(), g.dst.tolist()))
+
+    @pytest.mark.parametrize("n,seed", SHAPES)
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.3, 1 - 2.0**-53, 1.0])
+    def test_matches_sequential_rule(self, n, seed, p):
+        assert self.edges(gen_er_graph(n, p, seed)) == sequential_er(n, p, seed)
+
+    @pytest.mark.parametrize("n,seed", SHAPES)
+    def test_p_equal_to_a_draw_excludes_its_pair(self, n, seed):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        i = len(pairs) * 7 // 9  # in the second block when there are two
+        p = sequential_draws(len(pairs), seed)[i]
+        p_above = float(np.nextafter(p, 1.0))
+        at = self.edges(gen_er_graph(n, p, seed))
+        above = self.edges(gen_er_graph(n, p_above, seed))
+        assert pairs[i] not in at and pairs[i] in above
+        assert at == sequential_er(n, p, seed)
+        assert above == sequential_er(n, p_above, seed)
+
+
 class TestGenFeatures:
     def test_deterministic(self):
         assert gen_features(4, 2, 1).tobytes() == gen_features(4, 2, 1).tobytes()
@@ -168,6 +213,23 @@ class TestGenFeatures:
 
     def test_seed_sensitivity(self):
         assert gen_features(4, 2, 1).tobytes() != gen_features(4, 2, 2).tobytes()
+
+    def test_matches_sequential_stream_across_blocks(self):
+        # 300 * 300 draws span two blocks of the stream
+        x = gen_features(300, 300, 4)
+        u = sequential_draws(300 * 300, mix_key(4, 0x66656174))  # "feat"
+        want = (2.0 * np.array(u) - 1.0).reshape(300, 300)
+        assert x.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_about_the_output(self):
+        # drawing the whole stream at once held four times the output
+        tracemalloc.start()
+        try:
+            x = gen_features(4000, 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes + 4 * 2**20
 
     def test_decorrelated_from_edge_stream(self):
         # graph and features of the same seed draw from different streams
