@@ -35,7 +35,6 @@ from .graph import (
     coo,
     coo_to_csr,
     coo_to_dense,
-    csr_identity,
     csr_to_coo,
     csr_to_dense,
     normalized_edges,

@@ -6,10 +6,11 @@ invocation with a monotonic clock and attributing analytic operation counts
 per call. Everything else inside a forward pass (activations, GIN's and
 SAGE's combine steps, bookkeeping) lands in the ``other`` category, so the
 per-kernel means plus ``other`` sum to ``end_to_end_ns``. The per-edge
-scaling of GCN-MP and GIN-MP is not in ``other``: it runs inside
-``scatter``, whose counters leave its multiplies out. One-off setup (dtype
-casts, weight initialization, graph preprocessing) runs before the
-measured repeats and is not part of any row.
+scaling of GCN-MP and GIN-MP is not in ``other``: ``scatter`` multiplies
+each message by its incidence value as it sums, and its counters leave
+those multiplies out. One-off setup (dtype casts, weight initialization,
+graph preprocessing, the MP incidence) runs before the measured repeats
+and is not part of any row.
 
 Timing is never part of any correctness contract: counter arithmetic and
 share normalization are asserted, wall times are merely reported. Numerical
@@ -108,8 +109,8 @@ _COUNTERS = {
     "index_select": lambda x, index:
         kernels.index_select_counters(len(index), x.shape[1]),
     # the per-edge weight multiplies are not counted (see gnnbench.kernels)
-    "scatter": lambda src, index, n, op=ReduceOp.SUM, weights=None:
-        kernels.scatter_counters(src.shape[0], src.shape[1], n, op),
+    "scatter": lambda src, incidence, op=ReduceOp.SUM:
+        kernels.scatter_counters(src.shape[0], src.shape[1], incidence.num_rows, op),
     "sgemm": lambda a, b: kernels.sgemm_counters(a.shape[0], a.shape[1], b.shape[1]),
     "spmm": lambda a, x: kernels.spmm_counters(a.num_rows, a.nnz, x.shape[1]),
 }

@@ -142,6 +142,8 @@ class CsrGraph:
         object.__setattr__(self, "values", values)
         if self.num_rows < 0 or self.num_cols < 0:
             raise FormatError("matrix dimensions must be non-negative")
+        if not (row_ptr.ndim == col_idx.ndim == values.ndim == 1):
+            raise FormatError("row_ptr, col_idx and values must be one-dimensional")
         if len(row_ptr) != self.num_rows + 1:
             raise FormatError(
                 f"row_ptr length {len(row_ptr)} != num_rows + 1 = {self.num_rows + 1}"
@@ -189,11 +191,6 @@ class CsrGraph:
         )
 
 
-def csr_identity(n: int, dtype=np.float64) -> CsrGraph:
-    """The n-by-n identity matrix in canonical CSR form."""
-    return CsrGraph(n, n, np.arange(n + 1), np.arange(n), np.ones(n, dtype=dtype))
-
-
 def _stable_node_order(nodes: np.ndarray, n: int) -> np.ndarray:
     """``np.argsort(nodes, kind="stable")`` for values in ``[0, n)``, in O(e + n).
 
@@ -205,12 +202,6 @@ def _stable_node_order(nodes: np.ndarray, n: int) -> np.ndarray:
     incidence = scipy.sparse.coo_array(
         (np.ones(e, dtype=np.int8), (nodes, np.arange(e))), shape=(n, e))
     return incidence.tocsr().indices.astype(np.int64, copy=False)
-
-
-def sort_by_destination(g: CooGraph) -> CooGraph:
-    """The edges stably sorted by destination (each keeps its edges' order)."""
-    order = _stable_node_order(g.dst, g.num_nodes)
-    return CooGraph(g.num_nodes, g.src[order], g.dst[order], g.weights[order])
 
 
 def coo_to_csr(g: CooGraph) -> CsrGraph:
@@ -324,9 +315,7 @@ __all__ = [
     "CooGraph",
     "CsrGraph",
     "coo",
-    "csr_identity",
     "coo_to_csr",
-    "sort_by_destination",
     "csr_to_coo",
     "coo_to_dense",
     "csr_to_dense",

@@ -3,8 +3,9 @@
 The four primitives every pipeline decomposes into:
 
 - ``index_select``: gather rows of a dense matrix by an index vector,
-- ``scatter``: segment-reduce rows back onto destinations (sum/mean),
-  optionally scaling each row by a per-edge weight as it is summed,
+- ``scatter``: segment-reduce rows back onto destinations (sum/mean)
+  through a prepared destination x edge incidence matrix, scaling each row
+  by its edge's weight as it is summed,
 - ``sgemm``: dense matrix multiplication,
 - ``spmm``: sparse-times-dense product.
 
@@ -17,12 +18,13 @@ produce identical bytes.
 product evaluated by ``scipy.sparse``: each output row starts from zero and
 adds ``values[t] * x[col_idx[t]]`` for its entries ``t`` in storage order,
 one rounding per multiply and per add. ``spmm`` passes its matrix as is;
-``scatter`` passes the destination-sorted edge permutation, which keeps
-ascending edge order within each destination, with its per-edge weights
-(unit values when it has none) as the values, so a weighted sum needs no
-e x f temporary; ``sgemm`` passes its left operand as a dense CSR that
-keeps explicit zeros, so ``inf * 0`` still yields NaN and the inner
-dimension is summed in ascending order, as in the scalar triple loop.
+``scatter`` passes the incidence the caller prepared once per graph (see
+``gnnbench.models.prepare``), whose row i lists the edges into i in
+ascending edge order with their weights as the values, so a call does no
+sort, count or weight gather and a weighted sum needs no e x f temporary;
+``sgemm`` passes its left operand as a dense CSR that keeps explicit
+zeros, so ``inf * 0`` still yields NaN and the inner dimension is summed
+in ascending order, as in the scalar triple loop.
 
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
@@ -156,9 +158,8 @@ def _check_index(index: np.ndarray, n: int) -> np.ndarray:
     index = index.astype(np.int64, copy=False)
     if index.ndim != 1:
         raise IndexRangeError("index must be one-dimensional")
-    bad = np.flatnonzero((index < 0) | (index >= n))
-    if len(bad):
-        k = int(bad[0])
+    if index.size and (index.min() < 0 or index.max() >= n):
+        k = int(np.flatnonzero((index < 0) | (index >= n))[0])
         raise IndexRangeError(
             f"index[{k}] = {int(index[k])} out of range [0, {n})"
         )
@@ -169,47 +170,34 @@ def index_select(x: np.ndarray, index) -> np.ndarray:
     """Gather: output row k is a copy of ``x[index[k]]``."""
     x = np.asarray(x)
     index = _check_index(index, x.shape[0])
-    return x[index]
+    return np.take(x, index, axis=0)
 
 
-def scatter(src: np.ndarray, index, n: int, op: ReduceOp = ReduceOp.SUM,
-            weights=None) -> np.ndarray:
-    """Segment-reduce rows of ``src`` onto ``n`` destinations.
+def scatter(src: np.ndarray, incidence: CsrGraph,
+            op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
+    """Segment-reduce rows of ``src`` onto the rows of ``incidence``.
 
-    ``out[i]`` reduces ``{src[k] : index[k] == i}``; sum and mean accumulate
-    in ascending k order, mean divides by the receiver count. Destinations
-    that receive no rows are zero (isolated nodes keep finite embeddings).
-
-    An optional per-row ``weights`` vector scales each row as it is summed:
-    ``out[i] = sum_k weights[k] * src[k]`` with one rounding per multiply
-    and per add, the same bytes as scattering ``weights[:, None] * src``.
+    ``incidence`` is a destination x edge matrix with one column per source
+    row: ``out[i] = sum_t values[t] * src[col_idx[t]]`` over row ``i``'s
+    entries in storage order, one rounding per multiply and per add. With
+    unit values that is the plain sum, and a scaled entry gives the same
+    bytes as scattering ``weights[:, None] * src``. Mean divides each row's
+    sum by its entry count. Rows with no entries are zero (isolated nodes
+    keep finite embeddings).
     """
     src = np.asarray(src)
     if src.ndim != 2:
         raise ShapeError(f"scatter expects a 2-d source, got shape {src.shape}")
-    index = _check_index(index, n)
-    if len(index) != src.shape[0]:
+    if incidence.num_cols != src.shape[0]:
         raise ShapeError(
-            f"index length {len(index)} != source rows {src.shape[0]}"
+            f"incidence has {incidence.num_cols} columns != source rows "
+            f"{src.shape[0]}"
         )
-    if weights is not None:
-        weights = np.asarray(weights)
-        if weights.shape != index.shape:
-            raise ShapeError(
-                f"weights shape {weights.shape} != ({len(index)},), one per "
-                "source row"
-            )
     if not isinstance(op, ReduceOp):
         raise ValueError(f"unknown reduce op {op!r}")
-    counts = np.bincount(index, minlength=n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    # a stable sort keeps ascending k within each destination
-    order = np.argsort(index, kind="stable")
-    values = (np.ones(len(index), dtype=src.dtype) if weights is None
-              else weights[order])
-    out = _csr_matmul(row_ptr, order, values, src)
+    out = _csr_matmul(incidence.row_ptr, incidence.col_idx, incidence.values, src)
     if op is ReduceOp.MEAN:
+        counts = np.diff(incidence.row_ptr)
         received = counts > 0
         out[received] /= counts[received, None].astype(out.dtype)
     return out

@@ -5,9 +5,10 @@ kernels, under the message-passing (MP) model and, for GCN and GIN, the
 sparse-matrix (SpMM) model as well:
 
 - GCN-MP: per-node update ``act( sum_{u in N(v)+{v}} x_u Theta / sqrt(d_u d_v) )``,
-  realized as linear transform, gather by edge source, per-edge scaling,
-  scatter-sum by edge destination. The linear transform runs first; by
-  linearity that is equivalent to transforming after the sum.
+  realized as linear transform, gather by edge source, then a scatter-sum
+  by edge destination that scales each message by its edge's normalized
+  weight as it adds it. The linear transform runs first; by linearity
+  that is equivalent to transforming after the sum.
 - GCN-SpMM: ``act( norm_adj @ X @ Theta )`` with the symmetrically
   normalized self-looped adjacency built once per run.
 - GIN-MP: ``act( ((1 + eps) * X + neighbor_sum) @ Theta )`` where the
@@ -20,9 +21,12 @@ sparse-matrix (SpMM) model as well:
 
 Each pipeline is one table entry: the edge list its layers aggregate over
 and its layer update. :func:`prepare` lays that list out once per run, as
-its computational model reads it: a ``CooGraph`` stably sorted by
-destination under MP (GCN and GIN pass its weights to ``scatter`` as the
-per-edge scale), the canonical ``CsrGraph`` under SpMM.
+its computational model reads it. Under MP that is a
+:class:`MessagePassing`: the edge sources stably sorted by destination,
+which ``index_select`` gathers by, and the destination x edge incidence
+``CsrGraph`` that ``scatter`` reduces through, its values the per-edge
+scale (GCN's normalized weights, GIN's raw weights, SAGE's units). Under
+SpMM it is the canonical ``CsrGraph``.
 
 The two computational models of the same network agree within floating
 point reordering error; that equivalence is the central correctness
@@ -47,10 +51,10 @@ from .errors import ConfigError, ShapeError
 from .graph import (
     CooGraph,
     CsrGraph,
+    _stable_node_order,
     add_self_loops,
     coo_to_csr,
     normalized_edges,
-    sort_by_destination,
 )
 from .kernels import ReduceOp
 from .rng import mix_key, uniform_array
@@ -63,6 +67,7 @@ __all__ = [
     "LayerParams",
     "Pipeline",
     "PIPELINES",
+    "MessagePassing",
     "pipeline_for",
     "init_weights",
     "prepare",
@@ -201,6 +206,13 @@ def init_weights(spec: ModelSpec) -> list:
     return params
 
 
+def _sage_edges(g: CooGraph, epsilon: float) -> CooGraph:
+    # the neighbor mean weighs every edge, self-loops included, the same
+    looped = add_self_loops(g)
+    return CooGraph(looped.num_nodes, looped.src, looped.dst,
+                    np.ones(looped.num_edges, dtype=looped.weights.dtype))
+
+
 def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
     # A + (1 + eps) I: the raw edges, then one 1 + eps loop per node
     nodes = np.arange(g.num_nodes, dtype=np.int64)
@@ -215,8 +227,7 @@ def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
 # (instrumented runs).
 def _gcn_mp_apply(ctx, x, p, act, k):
     msgs = k.index_select(k.sgemm(x, p.theta), ctx.src)
-    return apply_activation(
-        k.scatter(msgs, ctx.dst, ctx.num_nodes, ReduceOp.SUM, ctx.weights), act)
+    return apply_activation(k.scatter(msgs, ctx.incidence, ReduceOp.SUM), act)
 
 
 def _spmm_apply(ctx, x, p, act, k):
@@ -224,14 +235,12 @@ def _spmm_apply(ctx, x, p, act, k):
 
 
 def _gin_mp_apply(ctx, x, p, act, k):
-    agg = k.scatter(k.index_select(x, ctx.src), ctx.dst, ctx.num_nodes,
-                    ReduceOp.SUM, ctx.weights)
+    agg = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.SUM)
     return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
 
 
 def _sage_mp_apply(ctx, x, p, act, k):
-    mean = k.scatter(k.index_select(x, ctx.src), ctx.dst, ctx.num_nodes,
-                     ReduceOp.MEAN)
+    mean = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.MEAN)
     return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2), act)
 
 
@@ -254,14 +263,32 @@ PIPELINES = {
                                           _spmm_apply, _THETA),
     (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_apply, _THETA),
     (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_apply, _THETA),
-    (Model.SAGE, CompModel.MP): Pipeline(lambda g, eps: add_self_loops(g),
-                                         _sage_mp_apply, _SELF_AND_NEIGHBOR),
+    (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_apply,
+                                         _SELF_AND_NEIGHBOR),
 }
 
-# How each computational model lays out a pipeline's edges: MP walks them
-# in destination order, so scatter's own stable sort runs on sorted input;
-# SpMM multiplies by their canonical CSR.
-_LAYOUT = {CompModel.MP: sort_by_destination, CompModel.SPMM: coo_to_csr}
+
+class MessagePassing(NamedTuple):
+    """A pipeline's edges as MP reads them, stably sorted by destination."""
+
+    src: np.ndarray       # the source node of each edge, in that order
+    incidence: CsrGraph   # destination x edge; values are the edge weights
+
+
+def _message_passing(g: CooGraph) -> MessagePassing:
+    n, e = g.num_nodes, g.num_edges
+    # each destination keeps its edges in edge-list order
+    order = _stable_node_order(g.dst, n)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g.dst, minlength=n), out=row_ptr[1:])
+    return MessagePassing(g.src[order], CsrGraph(
+        n, e, row_ptr, np.arange(e, dtype=np.int64), g.weights[order]))
+
+
+# How each computational model lays out a pipeline's edges: MP gathers
+# messages in destination order and reduces them through the destination x
+# edge incidence; SpMM multiplies by the edges' canonical CSR.
+_LAYOUT = {CompModel.MP: _message_passing, CompModel.SPMM: coo_to_csr}
 
 
 def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
@@ -275,10 +302,10 @@ def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
         ) from None
 
 
-def prepare(spec: ModelSpec, g: CooGraph) -> CooGraph | CsrGraph:
+def prepare(spec: ModelSpec, g: CooGraph) -> MessagePassing | CsrGraph:
     """The pipeline's edges in its computational model's layout: a
-    ``CooGraph`` stably sorted by destination under MP, the canonical
-    ``CsrGraph`` under SpMM."""
+    :class:`MessagePassing` under MP, the canonical ``CsrGraph`` under
+    SpMM."""
     edges = PIPELINES[spec.model, spec.comp_model].edges(g, spec.epsilon)
     return _LAYOUT[spec.comp_model](edges)
 
@@ -340,7 +367,7 @@ def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]
 
 def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
             x: np.ndarray, instr=None,
-            ctx: Optional[CooGraph | CsrGraph] = None) -> np.ndarray:
+            ctx: Optional[MessagePassing | CsrGraph] = None) -> np.ndarray:
     """Run the full pipeline, threading the feature matrix through every layer.
 
     The activation is applied after every layer including the last. The

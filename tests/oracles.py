@@ -23,6 +23,11 @@ import numpy as np
 from gnnbench.graph import CsrGraph
 
 
+def csr_identity(n, dtype=np.float64):
+    """The n-by-n identity matrix in canonical CSR form."""
+    return CsrGraph(n, n, np.arange(n + 1), np.arange(n), np.ones(n, dtype=dtype))
+
+
 def to_lists(x):
     return [list(map(float, row)) for row in x]
 

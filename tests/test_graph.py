@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import coo_graphs, symmetric_graph
 from oracles import (
     csr_from_dense,
+    csr_identity,
     dense_adjacency,
     dense_normalized,
     unique_coo_to_csr,
@@ -21,7 +22,6 @@ from gnnbench.graph import (
     coo,
     coo_to_csr,
     coo_to_dense,
-    csr_identity,
     csr_to_coo,
     csr_to_dense,
     normalized_edges,
@@ -312,6 +312,15 @@ class TestValidation:
     def test_csr_nnz_mismatch(self):
         with pytest.raises(FormatError):
             CsrGraph(1, 2, [0, 2], [0], [1.0])
+
+    @pytest.mark.parametrize("row_ptr,col_idx,values", [
+        ([[0, 2]], [0, 1], [1.0, 2.0]),
+        ([0, 2], [[0, 1]], [1.0, 2.0]),
+        ([0, 2], [0, 1], [[1.0], [2.0]]),
+    ])
+    def test_csr_arrays_one_dimensional(self, row_ptr, col_idx, values):
+        with pytest.raises(FormatError, match="one-dimensional"):
+            CsrGraph(1, 2, row_ptr, col_idx, values)
 
     def test_immutability(self):
         g = coo(2, src=[0], dst=[1])

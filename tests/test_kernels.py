@@ -7,6 +7,7 @@ from conftest import coo_graphs
 from oracles import (
     add_at_scatter,
     add_at_spmm,
+    csr_identity,
     dense_from_csr,
     gather_reference,
     naive_matmul,
@@ -16,12 +17,11 @@ from oracles import (
     to_lists,
 )
 
-from gnnbench.errors import IndexRangeError, ShapeError
+from gnnbench.errors import FormatError, IndexRangeError, ShapeError
 from gnnbench.graph import (
     CsrGraph,
     coo,
     coo_to_csr,
-    csr_identity,
     csr_to_dense,
     normalized_edges,
 )
@@ -46,6 +46,16 @@ def rand(shape, seed):
     return (2 * uniform_array(seed, int(np.prod(shape))) - 1).reshape(shape)
 
 
+def incidence(index, n, weights=None):
+    """The n x e incidence that scatters row k onto ``index[k]``, scaled by
+    ``weights[k]`` (unit weights by default)."""
+    index = np.asarray(index, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    row_ptr = np.searchsorted(index[order], np.arange(n + 1))
+    values = np.ones(len(index)) if weights is None else np.asarray(weights)[order]
+    return CsrGraph(n, len(index), row_ptr, order, values)
+
+
 class TestIndexSelect:
     def test_basic(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -64,13 +74,25 @@ class TestIndexSelect:
         with pytest.raises(IndexRangeError, match=r"index\[1\] = 2"):
             index_select(x, [0, 2])
 
+    @pytest.mark.parametrize("index,bad", [
+        ([1, -1, 5], r"index\[1\] = -1"),
+        ([0, 7, -3], r"index\[1\] = 7"),
+        ([2, 2], r"index\[0\] = 2"),
+    ])
+    def test_first_bad_position_named(self, index, bad):
+        # whichever bound fails, the message names the earliest offender
+        with pytest.raises(IndexRangeError, match=bad):
+            index_select(np.zeros((2, 1)), index)
+
+    def test_two_dimensional_index_rejected(self):
+        with pytest.raises(IndexRangeError, match="one-dimensional"):
+            index_select(np.zeros((2, 1)), [[0], [1]])
+
     def test_float_index_rejected(self):
         # a float index must not be silently truncated to rows 1 and 0
         x = np.array([[1.0], [2.0], [3.0]])
         with pytest.raises(IndexRangeError, match="integers"):
             index_select(x, np.array([1.7, 0.2]))
-        with pytest.raises(IndexRangeError, match="integers"):
-            scatter(x, np.array([0.0, 1.0, 1.0]), 2, ReduceOp.SUM)
 
     def test_matches_reference(self):
         x = rand((6, 4), 3)
@@ -85,20 +107,22 @@ class TestIndexSelect:
 class TestScatter:
     def test_sum(self):
         src = np.array([[1.0], [2.0], [3.0]])
-        out = scatter(src, [0, 0, 1], 2, ReduceOp.SUM)
+        out = scatter(src, incidence([0, 0, 1], 2), ReduceOp.SUM)
         assert out.tolist() == [[3.0], [3.0]]
 
     def test_mean_with_empty_destination(self):
-        out = scatter(np.array([[4.0]]), [0], 2, ReduceOp.MEAN)
+        out = scatter(np.array([[4.0]]), incidence([0], 2), ReduceOp.MEAN)
         assert out.tolist() == [[4.0], [0.0]]
 
     def test_out_of_range(self):
-        with pytest.raises(IndexRangeError):
-            scatter(np.zeros((1, 1)), [5], 2, ReduceOp.SUM)
+        # a destination outside [0, n) cannot enter an incidence matrix
+        for index in ([5], [-1], [0, 2]):
+            with pytest.raises(FormatError):
+                incidence(index, 2)
 
     def test_index_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            scatter(np.zeros((2, 1)), [0], 2, ReduceOp.SUM)
+        with pytest.raises(ShapeError, match="1 columns != source rows 2"):
+            scatter(np.zeros((2, 1)), incidence([0], 2), ReduceOp.SUM)
 
     @pytest.mark.parametrize("op", ["sum", "mean"])
     def test_matches_reference_bitwise(self, op):
@@ -106,7 +130,7 @@ class TestScatter:
         # exactly the documented kernel order
         src = rand((12, 3), 17)
         idx = (uniform_array(5, 12) * 5).astype(np.int64)
-        got = scatter(src, idx, 5, ReduceOp(op))
+        got = scatter(src, incidence(idx, 5), ReduceOp(op))
         want = np.array(scatter_reference(src, idx, 5, op))
         assert got.tobytes() == want.tobytes()
 
@@ -119,8 +143,9 @@ class TestScatter:
         e = g.num_edges
         src = np.floor(rand((e, 2), seed) * 4)
         idx = g.dst
-        total = scatter(src, idx, g.num_nodes, ReduceOp.SUM)
-        mean = scatter(src, idx, g.num_nodes, ReduceOp.MEAN)
+        a = incidence(idx, g.num_nodes)
+        total = scatter(src, a, ReduceOp.SUM)
+        mean = scatter(src, a, ReduceOp.MEAN)
         counts = np.bincount(idx, minlength=g.num_nodes).astype(float)
         recovered = mean * np.maximum(counts, 1)[:, None]
         assert np.abs(recovered - total).max() <= 1e-12 * max(1, np.abs(total).max())
@@ -128,9 +153,9 @@ class TestScatter:
     def test_mean_times_count_exact_for_pow2_counts(self):
         # powers of two divide exactly, so the round trip is bitwise
         src = np.arange(24, dtype=np.float64).reshape(12, 2)
-        idx = np.array([0] * 8 + [1] * 4)
-        total = scatter(src, idx, 2, ReduceOp.SUM)
-        mean = scatter(src, idx, 2, ReduceOp.MEAN)
+        a = incidence([0] * 8 + [1] * 4, 2)
+        total = scatter(src, a, ReduceOp.SUM)
+        mean = scatter(src, a, ReduceOp.MEAN)
         recovered = mean * np.array([8.0, 4.0])[:, None]
         assert recovered.tobytes() == total.tobytes()
 
@@ -204,7 +229,8 @@ class TestCrossKernelProperties:
     def test_gather_scatter_adjoint(self, n, e, seed):
         idx = (uniform_array(seed, e) * n).astype(np.int64)
         x = rand((n, 3), seed ^ 0xABCD)
-        via_kernels = scatter(index_select(x, idx), idx, n, ReduceOp.SUM)
+        via_kernels = scatter(index_select(x, idx), incidence(idx, n),
+                              ReduceOp.SUM)
         m = coo_to_csr(coo(n, src=idx, dst=idx))
         via_spmm = spmm(m, x)
         oracle = np.array(naive_matmul(dense_from_csr(m), to_lists(x)))
@@ -258,7 +284,8 @@ class TestSparseProductPrimitive:
                                             min_size=e, max_size=e)), dtype=np.int64)
         src = data.draw(special_arrays((e, f), dtype))
         want = add_at_scatter(src, index, n, op)
-        assert same_bits(scatter(src, index, n, ReduceOp(op)), want)
+        assert same_bits(scatter(src, incidence(index, n).astype(dtype),
+                                 ReduceOp(op)), want)
 
     @given(st.data(), st.sampled_from(FLOATS), st.sampled_from(FLOATS))
     @settings(max_examples=100, deadline=None)
@@ -282,7 +309,7 @@ class TestSparseProductPrimitive:
     def test_accumulates_in_ascending_order(self):
         # 1 is absorbed by 1e16 when added first; a reversed sum gives 1
         terms = np.array([1.0, 1e16, -1e16])
-        assert scatter(terms[:, None], [0, 0, 0], 1).tolist() == [[0.0]]
+        assert scatter(terms[:, None], incidence([0, 0, 0], 1)).tolist() == [[0.0]]
         row = CsrGraph(1, 3, [0, 3], [0, 1, 2], terms)
         assert spmm(row, np.ones((3, 2))).tolist() == [[0.0, 0.0]]
         assert sgemm(terms[None, :], np.ones((3, 1))).tolist() == [[0.0]]
@@ -291,9 +318,10 @@ class TestSparseProductPrimitive:
         # no inner dimension, no rows, no edges, no nodes
         assert sgemm(np.ones((3, 0)), np.ones((0, 2))).tolist() == [[0.0] * 2] * 3
         assert sgemm(np.ones((0, 2)), np.ones((2, 3))).shape == (0, 3)
-        assert scatter(np.ones((0, 2)), [], 3, ReduceOp.MEAN).tolist() == \
-            [[0.0] * 2] * 3
-        assert scatter(np.ones((0, 2)), [], 0, ReduceOp.SUM).shape == (0, 2)
+        assert scatter(np.ones((0, 2)), incidence([], 3), ReduceOp.MEAN).tolist() \
+            == [[0.0] * 2] * 3
+        assert scatter(np.ones((0, 2)), incidence([], 0), ReduceOp.SUM).shape == \
+            (0, 2)
         assert spmm(CsrGraph(0, 0, [0], [], []), np.ones((0, 4))).shape == (0, 4)
 
     def test_inf_times_zero_is_nan(self):
@@ -312,7 +340,7 @@ class TestSparseProductPrimitive:
         with pytest.raises(TypeError, match="float16"):
             sgemm(half, half)
         with pytest.raises(TypeError, match="float16"):
-            scatter(half, [0, 1], 2, ReduceOp.SUM)
+            scatter(half, incidence([0, 1], 2).astype(np.float16), ReduceOp.SUM)
         with pytest.raises(TypeError, match="float16"):
             spmm(csr_identity(2, dtype=np.float32).astype(np.float16), half)
 
@@ -326,8 +354,8 @@ class TestSparseProductPrimitive:
 
         monkeypatch.setattr(kernels, "_csr_matmul", spy)
         x = rand((3, 2), 4)
-        scatter(x, [2, 0, 2], 4, ReduceOp.SUM)
-        scatter(x, [2, 0, 2], 5, ReduceOp.MEAN)
+        scatter(x, incidence([2, 0, 2], 4), ReduceOp.SUM)
+        scatter(x, incidence([2, 0, 2], 5), ReduceOp.MEAN)
         spmm(csr_identity(3), x)
         sgemm(x, rand((2, 6), 5))
         assert calls == [4, 5, 3, 3]
@@ -335,8 +363,9 @@ class TestSparseProductPrimitive:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the oracles
 class TestWeightedScatter:
-    """``scatter(..., weights)`` against the route it replaces: scale the
-    rows by ``weights[:, None] * src``, then scatter the products."""
+    """``scatter`` through an incidence whose values are per-edge weights,
+    against the route it replaces: scale the rows by ``weights[:, None] *
+    src``, then scatter the products."""
 
     @given(st.data(), st.sampled_from(["sum", "mean"]), st.sampled_from(FLOATS),
            st.sampled_from(FLOATS))
@@ -350,7 +379,8 @@ class TestWeightedScatter:
         src = data.draw(special_arrays((e, f), src_dtype))
         weights = data.draw(special_arrays((e,), w_dtype))
         want = add_at_scatter(weights[:, None] * src, index, n, op)
-        assert same_bits(scatter(src, index, n, ReduceOp(op), weights), want)
+        assert same_bits(scatter(src, incidence(index, n, weights), ReduceOp(op)),
+                         want)
 
     @pytest.mark.parametrize("op", ["sum", "mean"])
     @pytest.mark.parametrize("e,f", [(0, 1), (0, 3), (7, 1)])
@@ -359,14 +389,15 @@ class TestWeightedScatter:
         index = (uniform_array(4, e) * 3).astype(np.int64)
         weights = rand((e,), 5)
         want = add_at_scatter(weights[:, None] * src, index, 3, op)
-        assert same_bits(scatter(src, index, 3, ReduceOp(op), weights), want)
+        assert same_bits(scatter(src, incidence(index, 3, weights), ReduceOp(op)),
+                         want)
 
     def test_special_weights(self):
         # NaN, +-inf and -0.0 weights act as they do in the products
         src = np.array([[1.0, 0.0], [0.0, -3.0], [4.0, 5.0], [-1.0, 1.0]])
         weights = np.array([np.nan, np.inf, -np.inf, -0.0])
         index = [3, 0, 1, 2]
-        got = scatter(src, index, 4, ReduceOp.SUM, weights)
+        got = scatter(src, incidence(index, 4, weights), ReduceOp.SUM)
         assert same_bits(got, add_at_scatter(weights[:, None] * src,
                                              np.array(index), 4, "sum"))
         assert np.isnan(got[3]).all() and np.isnan(got[0, 0])  # inf * 0
@@ -376,13 +407,14 @@ class TestWeightedScatter:
     def test_unit_weights_are_the_unweighted_sum(self):
         src = rand((9, 4), 6)
         index = np.array([4, 0, 2, 0, 4, 1, 1, 0, 3])
-        assert same_bits(scatter(src, index, 5, ReduceOp.SUM, np.ones(9)),
-                         scatter(src, index, 5, ReduceOp.SUM))
+        assert same_bits(scatter(src, incidence(index, 5), ReduceOp.SUM),
+                         add_at_scatter(src, index, 5, "sum"))
 
     @pytest.mark.parametrize("weights", [np.ones(2), np.ones(4), np.ones((3, 1))])
     def test_wrong_weights_shape(self, weights):
-        with pytest.raises(ShapeError, match="weights"):
-            scatter(np.ones((3, 2)), [0, 1, 0], 2, ReduceOp.SUM, weights)
+        # the incidence of index [0, 1, 0] holds one weight per edge
+        with pytest.raises(FormatError):
+            CsrGraph(2, 3, [0, 2, 3], [0, 2, 1], weights)
 
     @pytest.mark.parametrize("op", [ReduceOp.SUM, ReduceOp.MEAN])
     def test_counters_ignore_weights(self, op):
@@ -390,8 +422,8 @@ class TestWeightedScatter:
         src = rand((6, 3), 7)
         index = [1, 0, 1, 2, 0, 1]
         plain, weighted = bench.Instrumentation(), bench.Instrumentation()
-        plain.scatter(src, index, 4, op)
-        weighted.scatter(src, index, 4, op, rand((6,), 8))
+        plain.scatter(src, incidence(index, 4), op)
+        weighted.scatter(src, incidence(index, 4, rand((6,), 8)), op)
         (calls, _, counters), = plain.snapshot().values()
         (w_calls, _, w_counters), = weighted.snapshot().values()
         assert (w_calls, w_counters) == (calls, counters) == \

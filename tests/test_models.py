@@ -13,6 +13,7 @@ from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, NormalizationError, ShapeError
 from gnnbench.graph import (
     CooGraph,
+    CsrGraph,
     add_self_loops,
     coo,
     coo_to_csr,
@@ -359,8 +360,13 @@ def _expected_edges(name, g, eps):
         return CooGraph(g.num_nodes, np.concatenate([g.src, nodes]),
                         np.concatenate([g.dst, nodes]),
                         np.concatenate([g.weights, loop_w]))
+    if name == "sage-mp":
+        # the neighbor mean weighs each looped edge by one
+        looped = add_self_loops(g)
+        return CooGraph(g.num_nodes, looped.src, looped.dst,
+                        np.ones(looped.num_edges, dtype=g.weights.dtype))
     return {"gcn-mp": normalized_edges(g), "gcn-spmm": normalized_edges(g),
-            "gin-mp": g, "sage-mp": add_self_loops(g)}[name]
+            "gin-mp": g}[name]
 
 
 class TestPrepare:
@@ -381,8 +387,12 @@ class TestPrepare:
         if comp == "mp":
             # the edges into each node keep their edge-list order
             order = np.argsort(edges.dst, kind="stable")
-            assert got == CooGraph(g.num_nodes, edges.src[order],
-                                   edges.dst[order], edges.weights[order])
+            assert got.src.dtype == np.int64
+            assert got.src.tobytes() == edges.src[order].tobytes()
+            e = edges.num_edges
+            row_ptr = np.searchsorted(edges.dst[order], np.arange(g.num_nodes + 1))
+            assert got.incidence == CsrGraph(g.num_nodes, e, row_ptr, np.arange(e),
+                                             edges.weights[order])
         else:
             assert got == coo_to_csr(edges)
         if name == "gin-spmm":
