@@ -8,11 +8,9 @@ reports.
 """
 
 from .bench import (
-    ComparisonSummary,
     Instrumentation,
     KernelStats,
     RunReport,
-    compare_runs,
     instrumented_run,
     parse_report_json,
 )
@@ -54,13 +52,8 @@ from .models import (
     Model,
     ModelSpec,
     forward,
-    gcn_layer_mp,
-    gcn_layer_spmm,
-    gin_layer_mp,
-    gin_layer_spmm,
     init_weights,
     relu,
-    sage_layer_mp,
     sigmoid,
 )
 

@@ -52,7 +52,6 @@ __all__ = [
     "OTHER",
     "KernelStats",
     "RunReport",
-    "ComparisonSummary",
     "Instrumentation",
     "instrumented_run",
     "PRECISIONS",
@@ -61,7 +60,6 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
     "parse_report_json",
-    "compare_runs",
 ]
 
 REPORT_VERSION = "1"
@@ -92,16 +90,6 @@ class RunReport:
     per_kernel: list
     time_share: dict
     op_share: dict
-
-
-@dataclass
-class ComparisonSummary:
-    """Descriptive deltas between two reports (b relative to a)."""
-
-    end_to_end_ratio: float
-    time_share_delta: dict
-    kernels_only_in_a: list
-    kernels_only_in_b: list
 
 
 # Closed-form counters of one call, from the same arguments as the kernel.
@@ -159,12 +147,23 @@ def _synthesize_record(g: CooGraph, x: np.ndarray) -> DatasetRecord:
                          g.num_edges, "synthetic")
 
 
+def _narrowed(cast, what: str, precision: str):
+    try:
+        with np.errstate(over="raise"):
+            return cast()
+    except FloatingPointError:
+        raise FormatError(f"{what} is outside the {precision} range") from None
+
+
 def cast_inputs(spec: ModelSpec, g: CooGraph, x: np.ndarray, precision: str):
-    """``(g, x, init_weights(spec))``, each cast to the precision's dtype."""
+    """``(g, x, init_weights(spec))``, each cast to the precision's dtype;
+    FormatError if an edge weight or feature value overflows it."""
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
     dtype = PRECISIONS[precision]
-    return (g.astype(dtype), np.ascontiguousarray(np.asarray(x), dtype=dtype),
+    return (_narrowed(lambda: g.astype(dtype), "an edge weight", precision),
+            _narrowed(lambda: np.ascontiguousarray(np.asarray(x), dtype=dtype),
+                      "a feature value", precision),
             [p.astype(dtype) for p in models.init_weights(spec)])
 
 
@@ -332,25 +331,3 @@ def report_to_csv(report: RunReport) -> str:
 
 
 REPORT_WRITERS = {"json": report_to_json, "csv": report_to_csv}
-
-
-def compare_runs(a: RunReport, b: RunReport) -> ComparisonSummary:
-    """Descriptive comparison of two reports from the same artifact version."""
-    if a.version != b.version:
-        raise FormatError(
-            f"incompatible report versions: {a.version!r} vs {b.version!r}"
-        )
-    if a.end_to_end_ns <= 0:
-        raise ValueError("reference report has non-positive end-to-end time")
-    union = sorted(set(a.time_share) | set(b.time_share))
-    delta = {
-        k: b.time_share.get(k, 0.0) - a.time_share.get(k, 0.0) for k in union
-    }
-    only_a = sorted(set(a.time_share) - set(b.time_share))
-    only_b = sorted(set(b.time_share) - set(a.time_share))
-    return ComparisonSummary(
-        end_to_end_ratio=b.end_to_end_ns / a.end_to_end_ns,
-        time_share_delta=delta,
-        kernels_only_in_a=only_a,
-        kernels_only_in_b=only_b,
-    )

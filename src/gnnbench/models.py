@@ -20,8 +20,10 @@ sparse-matrix (SpMM) model as well:
   and requesting one is rejected.
 
 Each pipeline is one table entry: the edge list its layers aggregate over
-and its layer update. :func:`prepare` lays that list out once per run, as
-its computational model reads it. Under MP that is a
+and its layer update, which reads the activation and GIN's epsilon from the
+``ModelSpec`` (``LayerParams`` holds matrices only). :func:`forward` is the
+one way to run layers. :func:`prepare` lays the edge list out once per run,
+as its computational model reads it. Under MP that is a
 :class:`MessagePassing`: the edge sources stably sorted by destination,
 which ``index_select`` gathers by, and the destination x edge incidence
 ``CsrGraph`` that ``scatter`` reduces through, its values the per-edge
@@ -57,7 +59,7 @@ from .graph import (
     normalized_edges,
 )
 from .kernels import ReduceOp
-from .rng import mix_key, uniform_array
+from .rng import MASK64, mix_key, uniform_array
 
 __all__ = [
     "Model",
@@ -72,11 +74,6 @@ __all__ = [
     "init_weights",
     "prepare",
     "forward",
-    "gcn_layer_mp",
-    "gcn_layer_spmm",
-    "gin_layer_mp",
-    "gin_layer_spmm",
-    "sage_layer_mp",
     "relu",
     "sigmoid",
     "apply_activation",
@@ -148,6 +145,9 @@ class ModelSpec:
             raise ConfigError("feature widths must be positive")
         if not np.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
+        # the weight streams keep only the seed's low 64 bits
+        if not 0 <= self.seed <= MASK64:
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         pipeline_for(self.model, self.comp_model)
 
     def summary(self) -> dict:
@@ -175,12 +175,10 @@ class LayerParams:
     theta: Optional[np.ndarray] = None
     w1: Optional[np.ndarray] = None
     w2: Optional[np.ndarray] = None
-    epsilon: float = 0.0
 
     def astype(self, dtype) -> "LayerParams":
         cast = lambda m: None if m is None else m.astype(dtype, copy=False)
-        return LayerParams(cast(self.theta), cast(self.w1), cast(self.w2),
-                           self.epsilon)
+        return LayerParams(cast(self.theta), cast(self.w1), cast(self.w2))
 
 
 def _draw_matrix(seed: int, layer: int, role: int, f_in: int, f_out: int) -> np.ndarray:
@@ -202,7 +200,7 @@ def init_weights(spec: ModelSpec) -> list:
         f_in, f_out = spec.dims[layer], spec.dims[layer + 1]
         mats = {name: _draw_matrix(spec.seed, layer, role, f_in, f_out)
                 for name, role in weights}
-        params.append(LayerParams(**mats, epsilon=spec.epsilon))
+        params.append(LayerParams(**mats))
     return params
 
 
@@ -225,30 +223,33 @@ def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
 # ``ctx`` is the prepared edge list (see :func:`prepare`). ``k`` is the
 # kernel backend: the kernels module itself, or an object duck-typing it
 # (instrumented runs).
-def _gcn_mp_apply(ctx, x, p, act, k):
+def _gcn_mp_apply(ctx, x, p, spec, k):
     msgs = k.index_select(k.sgemm(x, p.theta), ctx.src)
-    return apply_activation(k.scatter(msgs, ctx.incidence, ReduceOp.SUM), act)
+    return apply_activation(k.scatter(msgs, ctx.incidence, ReduceOp.SUM),
+                            spec.activation)
 
 
-def _spmm_apply(ctx, x, p, act, k):
-    return apply_activation(k.sgemm(k.spmm(ctx, x), p.theta), act)
+def _spmm_apply(ctx, x, p, spec, k):
+    return apply_activation(k.sgemm(k.spmm(ctx, x), p.theta), spec.activation)
 
 
-def _gin_mp_apply(ctx, x, p, act, k):
+def _gin_mp_apply(ctx, x, p, spec, k):
     agg = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.SUM)
-    return apply_activation(k.sgemm((1.0 + p.epsilon) * x + agg, p.theta), act)
+    return apply_activation(k.sgemm((1.0 + spec.epsilon) * x + agg, p.theta),
+                            spec.activation)
 
 
-def _sage_mp_apply(ctx, x, p, act, k):
+def _sage_mp_apply(ctx, x, p, spec, k):
     mean = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.MEAN)
-    return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2), act)
+    return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2),
+                            spec.activation)
 
 
 class Pipeline(NamedTuple):
     """How one (model, computational model) pair is built and run."""
 
     edges: Callable    # (g, epsilon) -> the CooGraph the layers aggregate over
-    apply: Callable    # (ctx, x, params, activation, kernels) -> x'
+    apply: Callable    # (ctx, x, layer params, spec, kernels) -> x'
     weights: tuple     # (LayerParams field, weight stream role) per matrix
 
 
@@ -310,40 +311,6 @@ def prepare(spec: ModelSpec, g: CooGraph) -> MessagePassing | CsrGraph:
     return _LAYOUT[spec.comp_model](edges)
 
 
-def _check_rows(g: CooGraph, x: np.ndarray):
-    if x.ndim != 2 or x.shape[0] != g.num_nodes:
-        raise ShapeError(
-            f"feature matrix shape {x.shape} does not match {g.num_nodes} nodes"
-        )
-
-
-def _single_layer(model: str, comp: str, doc: str):
-    comp_model = CompModel(comp)
-    pipeline, layout = PIPELINES[Model(model), comp_model], _LAYOUT[comp_model]
-
-    def layer(g: CooGraph, x: np.ndarray, p: LayerParams, act: Activation,
-              instr=None) -> np.ndarray:
-        _check_rows(g, x)
-        return pipeline.apply(layout(pipeline.edges(g, p.epsilon)), x, p, act,
-                              kernels if instr is None else instr)
-
-    layer.__name__ = layer.__qualname__ = f"{model}_layer_{comp}"
-    layer.__doc__ = doc
-    return layer
-
-
-gcn_layer_mp = _single_layer("gcn", "mp", """One GCN layer under message
-    passing (self-loops inserted internally).""")
-gcn_layer_spmm = _single_layer("gcn", "spmm", """One GCN layer as
-    normalized-adjacency times features times weights.""")
-gin_layer_mp = _single_layer("gin", "mp", """One GIN layer under message
-    passing over the raw edge list.""")
-gin_layer_spmm = _single_layer("gin", "spmm", """One GIN layer as
-    ``(A + (1 + eps) I) @ X @ Theta``.""")
-sage_layer_mp = _single_layer("sage", "mp", """One GraphSAGE layer; neighbor
-    mean is over N(v) plus the node itself.""")
-
-
 def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]):
     if len(params) != spec.num_layers:
         raise ShapeError(
@@ -358,11 +325,17 @@ def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]
                 raise ShapeError(
                     f"layer {i} weight shape {got} breaks dims chain {want}"
                 )
-        if p.epsilon != spec.epsilon:
-            raise ConfigError(
-                f"layer {i} epsilon {p.epsilon} differs from the spec's "
-                f"epsilon {spec.epsilon}"
-            )
+
+
+def _check_ctx(spec: ModelSpec, g: CooGraph, ctx):
+    mp = spec.comp_model is CompModel.MP
+    want = MessagePassing if mp else CsrGraph
+    if not isinstance(ctx, want):
+        raise ConfigError(f"a {spec.comp_model.value} pipeline runs on a "
+                          f"{want.__name__} ctx, got {type(ctx).__name__}")
+    rows = (ctx.incidence if mp else ctx).num_rows
+    if rows != g.num_nodes:
+        raise ShapeError(f"ctx has {rows} rows for {g.num_nodes} nodes")
 
 
 def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
@@ -371,12 +344,17 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
     """Run the full pipeline, threading the feature matrix through every layer.
 
     The activation is applied after every layer including the last. The
-    edges in the computational model's layout are prepared once (or taken
-    from a caller-supplied ``ctx``, as :func:`prepare` returns them) and
-    reused across layers. Every layer's ``epsilon`` must equal the spec's,
-    which is the one the edges are prepared with.
+    edges in the computational model's layout are prepared once and reused
+    across layers. A caller-supplied ``ctx`` (as :func:`prepare` returns it)
+    is checked in O(1) for its layout type (ConfigError) and its row count
+    (ShapeError); one prepared from another graph with the same node count,
+    or for another pipeline of the same computational model, cannot be
+    detected.
     """
-    _check_rows(g, x)
+    if x.ndim != 2 or x.shape[0] != g.num_nodes:
+        raise ShapeError(
+            f"feature matrix shape {x.shape} does not match {g.num_nodes} nodes"
+        )
     if x.shape[1] != spec.dims[0]:
         raise ShapeError(
             f"input feature width {x.shape[1]} != dims[0] = {spec.dims[0]}"
@@ -385,8 +363,10 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
     _check_params(spec, pipeline.weights, params)
     if ctx is None:
         ctx = prepare(spec, g)
+    else:
+        _check_ctx(spec, g, ctx)
     k = kernels if instr is None else instr
     h = x
     for p in params:
-        h = pipeline.apply(ctx, h, p, spec.activation, k)
+        h = pipeline.apply(ctx, h, p, spec, k)
     return h

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gnnbench.graph import CooGraph, coo
+from gnnbench.models import Activation, CompModel, Model, ModelSpec, forward
 
 
 @st.composite
@@ -26,3 +27,13 @@ def symmetric_graph(g: CooGraph) -> CooGraph:
     dst = np.concatenate([g.dst, g.src])
     weights = np.concatenate([g.weights, g.weights])
     return CooGraph(g.num_nodes, src, dst, weights)
+
+
+def one_layer(name, g, x, params, act=Activation.IDENTITY, eps=0.0):
+    """One layer of pipeline ``name`` (``"gin-spmm"``, ...) through
+    ``forward``, with a one-layer spec shaped by ``x`` and ``params``."""
+    model, comp = name.split("-")
+    f_out = (params.w1 if params.theta is None else params.theta).shape[1]
+    spec = ModelSpec(Model(model), CompModel(comp), 1, (x.shape[1], f_out),
+                     act, eps)
+    return forward(spec, [params], g, x)

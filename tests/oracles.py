@@ -137,11 +137,11 @@ def dense_sage_layer(g, x, w1, w2, act="identity"):
     return ACTS[act](h)
 
 
-def dense_layer(model, g, x, params, act="identity"):
+def dense_layer(model, g, x, params, act="identity", eps=0.0):
     if model == "gcn":
         return dense_gcn_layer(g, x, params.theta, act)
     if model == "gin":
-        return dense_gin_layer(g, x, params.theta, params.epsilon, act)
+        return dense_gin_layer(g, x, params.theta, eps, act)
     return dense_sage_layer(g, x, params.w1, params.w2, act)
 
 

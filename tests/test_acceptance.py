@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import one_layer
 from oracles import dense_from_csr, dense_layer, naive_matmul, to_lists
 from test_bench import predict_counters
 from test_cli import strip_timing
@@ -24,12 +25,7 @@ from gnnbench.models import (
     Model,
     ModelSpec,
     forward,
-    gcn_layer_mp,
-    gcn_layer_spmm,
-    gin_layer_mp,
-    gin_layer_spmm,
     init_weights,
-    sage_layer_mp,
 )
 
 NS = [8, 64, 256]
@@ -39,13 +35,7 @@ HIDDEN = 8
 GRAPH_SEED = 42
 EPS = 0.5
 
-LAYER_FNS = {
-    "gcn_mp": gcn_layer_mp,
-    "gcn_spmm": gcn_layer_spmm,
-    "gin_mp": gin_layer_mp,
-    "gin_spmm": gin_layer_spmm,
-    "sage_mp": sage_layer_mp,
-}
+PIPELINE_NAMES = ("gcn-mp", "gcn-spmm", "gin-mp", "gin-spmm", "sage-mp")
 
 
 @contextlib.contextmanager
@@ -100,21 +90,22 @@ def test_criterion_1_cross_model_equivalence(instances):
 
 
 def test_criterion_2_dense_oracle_equivalence(instances):
-    with criterion(2, "all five layer functions match their dense equations"):
+    with criterion(2, "all five one-layer pipelines match their dense equations"):
         for (n, p, f), (g, x) in instances.items():
-            for name, fn in LAYER_FNS.items():
-                model = name.split("_")[0]
+            for name in PIPELINE_NAMES:
+                model = name.split("-")[0]
                 spec = ModelSpec(Model(model), CompModel.MP, 1, (f, HIDDEN),
                                  Activation.RELU, EPS, GRAPH_SEED)
                 (params,) = init_weights(spec)
-                got = fn(g, x, params, Activation.RELU)
-                want = np.array(dense_layer(model, g, x, params, "relu"))
+                got = one_layer(name, g, x, params, Activation.RELU, EPS)
+                want = np.array(dense_layer(model, g, x, params, "relu", EPS))
                 diff = float(np.abs(got - want).max())
                 assert diff <= 1e-9, (name, n, p, f, diff)
 
 
 def test_criterion_3_permutation_equivariance():
-    with criterion(3, "20 random permutations leave all five layers equivariant"):
+    with criterion(3, "20 random permutations leave all five one-layer pipelines "
+                      "equivariant"):
         g = gen_er_graph(64, 0.1, GRAPH_SEED)
         x = gen_features(64, 16, GRAPH_SEED)
         rng = np.random.default_rng(7)
@@ -123,13 +114,13 @@ def test_criterion_3_permutation_equivariance():
             inv = np.argsort(perm)
             pg = CooGraph(64, perm[g.src], perm[g.dst], g.weights)
             px = x[inv]
-            for name, fn in LAYER_FNS.items():
-                model = name.split("_")[0]
+            for name in PIPELINE_NAMES:
+                model = name.split("-")[0]
                 spec = ModelSpec(Model(model), CompModel.MP, 1, (16, HIDDEN),
                                  Activation.RELU, EPS, trial)
                 (params,) = init_weights(spec)
-                out = fn(g, x, params, Activation.RELU)
-                out_p = fn(pg, px, params, Activation.RELU)
+                out = one_layer(name, g, x, params, Activation.RELU, EPS)
+                out_p = one_layer(name, pg, px, params, Activation.RELU, EPS)
                 diff = float(np.abs(out_p - out[inv]).max())
                 assert diff <= 1e-9, (name, trial, diff)
 

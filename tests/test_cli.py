@@ -8,7 +8,8 @@ import pytest
 from gnnbench import bench, cli, data
 from gnnbench.bench import parse_report_json
 from gnnbench.data import gen_er_graph, gen_features
-from gnnbench.errors import ConfigError
+from gnnbench.errors import ConfigError, FormatError
+from gnnbench.graph import CooGraph
 from gnnbench.models import CompModel, Model, ModelSpec
 
 
@@ -408,6 +409,26 @@ class TestPrecisions:
         assert g_t.weights.dtype == dtype
         assert x_t.dtype == dtype and x_t.flags.c_contiguous
         assert all(m.dtype == dtype for p in params for m in (p.w1, p.w2))
+
+    def test_f32_overflow_is_a_data_error(self, tmp_path, capsys):
+        # a feature beyond the float32 range would become inf, and the run
+        # would report on it as if it were data
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1\n1 2\n")
+        feats = tmp_path / "f.csv"
+        feats.write_text("1.0,2.0\n1e39,0.5\n-3.0,4.0\n")
+        dataset = ["--dataset", f"{edges},{feats}"]
+        for command in ("run", "check"):
+            assert cli.main([command, *dataset, "--precision", "f32"]) == 3
+            assert "a feature value is outside the f32 range" in \
+                capsys.readouterr().err
+        assert cli.main(["run", *dataset, "--precision", "f64"]) == 0
+
+    def test_f32_edge_weight_overflow_rejected(self):
+        spec = ModelSpec(Model.GCN, CompModel.MP, 1, (2, 2))
+        g = CooGraph(2, np.array([0]), np.array([1]), np.array([-1e39]))
+        with pytest.raises(FormatError, match="an edge weight is outside the f32"):
+            bench.cast_inputs(spec, g, np.ones((2, 2)), "f32")
 
 
 class TestKernelLegend:

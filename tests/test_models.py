@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_layer
 from oracles import dense_layer
 
 from gnnbench.bench import cast_inputs
@@ -21,6 +22,7 @@ from gnnbench.graph import (
     csr_to_dense,
     normalized_edges,
 )
+from gnnbench.kernels import ReduceOp, index_select, scatter, sgemm
 from gnnbench.models import (
     PIPELINES,
     Activation,
@@ -29,31 +31,20 @@ from gnnbench.models import (
     Model,
     ModelSpec,
     forward,
-    gcn_layer_mp,
-    gcn_layer_spmm,
-    gin_layer_mp,
-    gin_layer_spmm,
     init_weights,
     prepare,
     relu,
-    sage_layer_mp,
     sigmoid,
 )
 from gnnbench.models import _LAYOUT
 
 IDENT = Activation.IDENTITY
 
-LAYER_FNS = {
-    "gcn_mp": lambda g, x, p, act: gcn_layer_mp(g, x, p, act),
-    "gcn_spmm": lambda g, x, p, act: gcn_layer_spmm(g, x, p, act),
-    "gin_mp": lambda g, x, p, act: gin_layer_mp(g, x, p, act),
-    "gin_spmm": lambda g, x, p, act: gin_layer_spmm(g, x, p, act),
-    "sage_mp": lambda g, x, p, act: sage_layer_mp(g, x, p, act),
-}
+PIPELINE_NAMES = sorted(f"{m.value}-{c.value}" for m, c in PIPELINES)
 
 
-def theta_params(theta, eps=0.0):
-    return LayerParams(theta=np.asarray(theta, dtype=np.float64), epsilon=eps)
+def theta_params(theta):
+    return LayerParams(theta=np.asarray(theta, dtype=np.float64))
 
 
 def sage_params(w1, w2):
@@ -95,41 +86,41 @@ class TestGcnLayers:
     def test_mp_single_node_identity(self):
         g = coo(1)
         x = np.array([[2.5, -1.0]])
-        out = gcn_layer_mp(g, x, theta_params(np.eye(2)), IDENT)
+        out = one_layer("gcn-mp", g, x, theta_params(np.eye(2)))
         assert np.abs(out - x).max() <= 1e-15
 
     def test_mp_two_node_uniform(self):
         g = coo(2, src=[0, 1], dst=[1, 0])
-        out = gcn_layer_mp(g, np.array([[1.0], [1.0]]), theta_params([[1.0]]),
-                           IDENT)
+        out = one_layer("gcn-mp", g, np.array([[1.0], [1.0]]),
+                        theta_params([[1.0]]))
         assert np.abs(out - 1.0).max() <= 1e-15
 
     def test_spmm_loop_only_graph(self):
         x = gen_features(5, 3, 1)
-        out = gcn_layer_spmm(coo(5), x, theta_params(np.eye(3)), IDENT)
+        out = one_layer("gcn-spmm", coo(5), x, theta_params(np.eye(3)))
         assert np.abs(out - x).max() <= 1e-12
 
     def test_spmm_single_node_relu(self):
-        out = gcn_layer_spmm(coo(1), np.array([[2.0]]), theta_params([[3.0]]),
-                             Activation.RELU)
+        out = one_layer("gcn-spmm", coo(1), np.array([[2.0]]),
+                        theta_params([[3.0]]), Activation.RELU)
         assert out.tolist() == [[6.0]]
 
     def test_cross_model_on_er(self):
         g = gen_er_graph(64, 0.1, 42)
         x = gen_features(64, 4, 7)
         p = theta_params(init_weights(spec_for("gcn", "mp", (4, 8)))[0].theta)
-        a = gcn_layer_mp(g, x, p, Activation.RELU)
-        b = gcn_layer_spmm(g, x, p, Activation.RELU)
+        a = one_layer("gcn-mp", g, x, p, Activation.RELU)
+        b = one_layer("gcn-spmm", g, x, p, Activation.RELU)
         assert np.abs(a - b).max() <= 1e-9
 
     def test_duplicate_edges_contribute_independently(self):
         g = coo(2, src=[0, 0, 1], dst=[1, 1, 0])
         x = np.array([[1.0], [2.0]])
         p = theta_params([[1.0]])
-        a = gcn_layer_mp(g, x, p, IDENT)
-        b = gcn_layer_spmm(g, x, p, IDENT)
+        a = one_layer("gcn-mp", g, x, p)
+        b = one_layer("gcn-spmm", g, x, p)
         assert np.abs(a - b).max() <= 1e-12
-        want = np.array(dense_layer("gcn", g, x, p, "identity"))
+        want = np.array(dense_layer("gcn", g, x, p))
         assert np.abs(a - want).max() <= 1e-9
 
 
@@ -156,67 +147,66 @@ class TestDegreeProductRange:
 class TestGinLayers:
     def test_mp_no_edges_is_input(self):
         x = gen_features(4, 2, 3)
-        out = gin_layer_mp(coo(4), x, theta_params(np.eye(2)), IDENT)
+        out = one_layer("gin-mp", coo(4), x, theta_params(np.eye(2)))
         assert np.abs(out - x).max() == 0.0
 
     def test_mp_two_node_hand_evaluated(self):
         g = coo(2, src=[0, 1], dst=[1, 0])
-        out = gin_layer_mp(g, np.array([[1.0], [2.0]]), theta_params([[1.0]]),
-                           IDENT)
+        out = one_layer("gin-mp", g, np.array([[1.0], [2.0]]),
+                        theta_params([[1.0]]))
         assert out.tolist() == [[3.0], [3.0]]
 
     def test_spmm_no_edges(self):
         x = gen_features(4, 2, 5)
         theta = init_weights(spec_for("gin", "mp", (2, 3)))[0].theta
-        out = gin_layer_spmm(coo(4), x, theta_params(theta), Activation.RELU)
+        out = one_layer("gin-spmm", coo(4), x, theta_params(theta),
+                        Activation.RELU)
         want = relu(x @ theta)
         assert np.abs(out - want).max() <= 1e-12
 
     def test_spmm_single_node_epsilon(self):
-        out = gin_layer_spmm(coo(1), np.array([[1.0]]),
-                             theta_params([[1.0]], eps=1.0), IDENT)
+        out = one_layer("gin-spmm", coo(1), np.array([[1.0]]),
+                        theta_params([[1.0]]), eps=1.0)
         assert out.tolist() == [[2.0]]
 
     def test_cross_model_on_er(self):
         g = gen_er_graph(64, 0.1, 42)
         x = gen_features(64, 4, 8)
-        p = theta_params(init_weights(spec_for("gin", "mp", (4, 8)))[0].theta,
-                         eps=0.5)
-        a = gin_layer_mp(g, x, p, Activation.RELU)
-        b = gin_layer_spmm(g, x, p, Activation.RELU)
+        p = theta_params(init_weights(spec_for("gin", "mp", (4, 8)))[0].theta)
+        a = one_layer("gin-mp", g, x, p, Activation.RELU, eps=0.5)
+        b = one_layer("gin-spmm", g, x, p, Activation.RELU, eps=0.5)
         assert np.abs(a - b).max() <= 1e-9
 
     def test_pure_mlp_when_no_edges_and_zero_eps(self):
         x = gen_features(6, 3, 2)
         theta = init_weights(spec_for("gin", "mp", (3, 2)))[0].theta
         want = relu(x @ theta)
-        for fn in (gin_layer_mp, gin_layer_spmm):
-            out = fn(coo(6), x, theta_params(theta), Activation.RELU)
+        for name in ("gin-mp", "gin-spmm"):
+            out = one_layer(name, coo(6), x, theta_params(theta), Activation.RELU)
             assert np.abs(out - want).max() <= 1e-12
 
     def test_dataset_self_loops_kept_in_both_models(self):
         # pre-existing loop edges traverse as-is, on top of the (1+eps) term
         g = coo(3, src=[0, 0, 1, 2, 2], dst=[1, 0, 2, 2, 1])
         x = gen_features(3, 2, 1)
-        p = theta_params(init_weights(spec_for("gin", "mp", (2, 2)))[0].theta,
-                         eps=0.25)
-        a = gin_layer_mp(g, x, p, IDENT)
-        b = gin_layer_spmm(g, x, p, IDENT)
+        p = theta_params(init_weights(spec_for("gin", "mp", (2, 2)))[0].theta)
+        a = one_layer("gin-mp", g, x, p, eps=0.25)
+        b = one_layer("gin-spmm", g, x, p, eps=0.25)
         assert np.abs(a - b).max() <= 1e-12
-        want = np.array(dense_layer("gin", g, x, p, "identity"))
+        want = np.array(dense_layer("gin", g, x, p, eps=0.25))
         assert np.abs(a - want).max() <= 1e-9
 
 
 class TestSageLayer:
     def test_isolated_node_mean_is_self(self):
         x = np.array([[3.0, -2.0]])
-        out = sage_layer_mp(coo(1), x, sage_params(np.eye(2), np.eye(2)), IDENT)
+        out = one_layer("sage-mp", coo(1), x, sage_params(np.eye(2), np.eye(2)))
         assert np.abs(out - 2 * x).max() <= 1e-15
 
     def test_two_node_hand_evaluated(self):
         g = coo(2, src=[0, 1], dst=[1, 0])
-        out = sage_layer_mp(g, np.array([[0.0], [2.0]]),
-                            sage_params([[1.0]], [[1.0]]), IDENT)
+        out = one_layer("sage-mp", g, np.array([[0.0], [2.0]]),
+                        sage_params([[1.0]], [[1.0]]))
         assert out.tolist() == [[1.0], [3.0]]
 
     def test_permutation_equivariance(self):
@@ -226,23 +216,23 @@ class TestSageLayer:
         perm = np.arange(20)[::-1].copy()  # node v relabeled to perm[v]
         inv = np.argsort(perm)
         pg = CooGraph(20, perm[g.src], perm[g.dst], g.weights)
-        out_p = sage_layer_mp(pg, x[inv], params, Activation.RELU)
-        out = sage_layer_mp(g, x, params, Activation.RELU)
+        out_p = one_layer("sage-mp", pg, x[inv], params, Activation.RELU)
+        out = one_layer("sage-mp", g, x, params, Activation.RELU)
         assert np.abs(out_p - out[inv]).max() <= 1e-9
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("name", list(LAYER_FNS))
+    @pytest.mark.parametrize("name", PIPELINE_NAMES,
+                             ids=lambda name: name.replace("-", "_"))
     @pytest.mark.parametrize("f_in", [1, 4])
     def test_layer_matches_dense_equation(self, name, f_in):
         g = gen_er_graph(24, 0.2, 13)
         x = gen_features(24, f_in, 6)
-        model = name.split("_")[0]
+        model = name.split("-")[0]
         spec = spec_for(model, "mp", (f_in, 5), seed=11)
         (params,) = init_weights(spec)
-        params = LayerParams(params.theta, params.w1, params.w2, 0.25)
-        got = LAYER_FNS[name](g, x, params, Activation.RELU)
-        want = np.array(dense_layer(model, g, x, params, "relu"))
+        got = one_layer(name, g, x, params, Activation.RELU, eps=0.25)
+        want = np.array(dense_layer(model, g, x, params, "relu", eps=0.25))
         assert np.abs(got - want).max() <= 1e-9
 
     def test_weighted_graph_cross_model_consistency(self):
@@ -251,21 +241,24 @@ class TestDenseOracle:
                 weights=[0.5, 2.0, 1.5, 3.0, 0.25])
         x = gen_features(5, 3, 3)
         p = theta_params(init_weights(spec_for("gcn", "mp", (3, 4)))[0].theta)
-        a = gcn_layer_mp(g, x, p, IDENT)
-        b = gcn_layer_spmm(g, x, p, IDENT)
+        a = one_layer("gcn-mp", g, x, p)
+        b = one_layer("gcn-spmm", g, x, p)
         assert np.abs(a - b).max() <= 1e-12
-        want = np.array(dense_layer("gcn", g, x, p, "identity"))
+        want = np.array(dense_layer("gcn", g, x, p))
         assert np.abs(a - want).max() <= 1e-9
 
 
 class TestForward:
     def test_single_layer_equals_layer_call(self):
+        # a one-layer forward is exactly the layer's kernel composition
         g = gen_er_graph(10, 0.3, 2)
         x = gen_features(10, 3, 1)
         spec = spec_for("gcn", "mp", (3, 6), seed=4)
         params = init_weights(spec)
-        assert forward(spec, params, g, x).tobytes() == \
-            gcn_layer_mp(g, x, params[0], spec.activation).tobytes()
+        ctx = prepare(spec, g)
+        msgs = index_select(sgemm(x, params[0].theta), ctx.src)
+        want = relu(scatter(msgs, ctx.incidence, ReduceOp.SUM))
+        assert forward(spec, params, g, x).tobytes() == want.tobytes()
 
     def test_two_layer_cross_model(self):
         g = gen_er_graph(64, 0.1, 42)
@@ -295,16 +288,23 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(spec, init_weights(spec), coo(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("comp,other", [("mp", "spmm"), ("spmm", "mp")])
+    def test_ctx_of_the_other_computational_model_rejected(self, comp, other):
+        g = gen_er_graph(12, 0.3, 1)
+        x = gen_features(12, 3, 1)
+        spec = spec_for("gcn", comp, (3, 4))
+        ctx = prepare(spec_for("gcn", other, (3, 4)), g)
+        with pytest.raises(ConfigError, match=f"{comp} pipeline runs on a"):
+            forward(spec, init_weights(spec), g, x, ctx=ctx)
+
     @pytest.mark.parametrize("comp", ["mp", "spmm"])
-    def test_params_epsilon_must_match_spec(self, comp):
-        # hand-built params with another epsilon would make GIN-MP (which
-        # reads the params) and GIN-SpMM (which reads the spec) disagree
-        g = gen_er_graph(32, 0.2, 1)
-        x = gen_features(32, 4, 1)
-        spec = spec_for("gin", comp, (4, 4), eps=0.0)
-        (p,) = init_weights(spec)
-        with pytest.raises(ConfigError, match="epsilon"):
-            forward(spec, [LayerParams(p.theta, epsilon=0.5)], g, x)
+    def test_ctx_of_another_node_count_rejected(self, comp):
+        # a 2-node ctx would give a 2-row output for a 3-node graph
+        g = gen_er_graph(3, 0.5, 1)
+        spec = spec_for("gin", comp, (2, 2))
+        ctx = prepare(spec, gen_er_graph(2, 0.5, 1))
+        with pytest.raises(ShapeError, match="ctx has 2 rows for 3 nodes"):
+            forward(spec, init_weights(spec), g, gen_features(3, 2, 1), ctx=ctx)
 
     def test_output_shape(self):
         g = gen_er_graph(12, 0.2, 3)
@@ -351,6 +351,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="epsilon must be finite"):
             spec_for("gin", "spmm", (3, 3), eps=eps)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_u64_rejected(self, seed):
+        # the weight streams keep the low 64 bits: seed -1 would draw the
+        # weights of 2^64 - 1, and 2^64 those of 0, under another recorded seed
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
+            spec_for("gcn", "mp", (3, 3), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_accepted(self, seed):
+        assert spec_for("gcn", "mp", (3, 3), seed=seed).summary()["seed"] == seed
+
 
 def _expected_edges(name, g, eps):
     if name == "gin-spmm":
@@ -370,8 +381,7 @@ def _expected_edges(name, g, eps):
 
 
 class TestPrepare:
-    @pytest.mark.parametrize("name", sorted(f"{m.value}-{c.value}"
-                                            for m, c in PIPELINES))
+    @pytest.mark.parametrize("name", PIPELINE_NAMES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_edges_in_their_computational_models_layout(self, name, dtype):
         # a weighted multigraph with duplicates and a self-loop
