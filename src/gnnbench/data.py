@@ -11,6 +11,15 @@ File formats (normative, bit-exact for round trips):
 - Features: header-less CSV, row i holds the feature vector of node i,
   decimal floating-point cells, rectangular, all values finite.
 
+Each loader first tries one vectorized ``np.loadtxt`` pass. It keeps the
+result only for plain files: decimal ``src dst`` pairs in range after an
+optional ``%nodes`` line, or rectangular CSV rows of finite values, one per
+node, as ``%d`` and ``%.17g`` write them. Every other file goes to the line
+loop (``_edge_list_loop``, ``_features_loop``), which owns the grammar: it
+still accepts ``1_000``, full-width digits, ``#`` comment lines and
+whitespace-only lines, and it raises every error, with its line number.
+Where both accept a file they give the same bytes.
+
 The registry carries the metadata of the five reference datasets. The files
 themselves are not bundled (size and licensing); the loaders accept local
 copies in the formats above, and the synthetic generator covers desk-scale
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +58,11 @@ _FEATURES_ROLE = 0x66656174  # "feat"
 # time is O(n^2) whatever p is, about 5 ns per pair, so 2^30 pairs
 # (n = 32768) took 5.2-6.1 s on a 2-vCPU Intel Xeon with numpy 2.4.
 MAX_ER_PAIRS = 1 << 30
+
+# The ASCII separators 0x1c-0x1f: loadtxt strips them around a number like
+# whitespace, float() rejects them. (Between edge-list indices both the loop's
+# str.split() and loadtxt take them as whitespace.)
+_FLOAT_REJECTS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 @dataclass(frozen=True)
@@ -95,8 +110,68 @@ def _utf8_text(path):
                              f"0x{exc.object[exc.start]:02x}") from None
 
 
+def _loadtxt(fh, dtype, delimiter):
+    """``fh`` parsed by one ``np.loadtxt`` pass, or None when it fails or warns.
+
+    ``comments=None``: loadtxt would cut a line at a ``#`` anywhere, while
+    the grammar has ``#`` comments only at the start of a line. A file with
+    no data makes loadtxt warn, and a byte that is not UTF-8 raises
+    ``UnicodeDecodeError`` (a ``ValueError``); both go to the loop too.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+
+
+def _nodes_directive(path, line) -> int:
+    """The node count of a stripped line-1 ``%nodes N`` directive."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "%nodes":
+        raise ParseError(f"{path}:1: unknown directive {line!r}")
+    try:
+        declared_nodes = int(parts[1])
+    except ValueError:
+        raise ParseError(f"{path}:1: invalid node count {parts[1]!r}") from None
+    if declared_nodes < 0:
+        raise ParseError(f"{path}:1: node count must be >= 0")
+    return declared_nodes
+
+
 def load_edge_list(path) -> CooGraph:
     """Parse an edge-list file into a graph (unit edge weights)."""
+    g = _edge_list_vectorized(path)
+    return _edge_list_loop(path) if g is None else g
+
+
+def _edge_list_vectorized(path):
+    """The graph when one loadtxt pass meets every rule of the loop, else None."""
+    with _utf8_text(path) as fh:
+        try:
+            first = fh.readline().strip()
+            if first.startswith("%"):
+                declared_nodes = _nodes_directive(path, first)
+            else:
+                declared_nodes = None
+                fh.seek(0)
+        except ValueError:  # ParseError or UnicodeDecodeError
+            return None
+        pairs = _loadtxt(fh, np.int64, None)
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0:
+        return None
+    top = int(pairs.max())
+    if declared_nodes is not None and top >= declared_nodes:
+        return None
+    src, dst = pairs.T.copy()
+    return CooGraph(top + 1 if declared_nodes is None else declared_nodes,
+                    src, dst, np.ones(len(src), dtype=np.float64))
+
+
+def _edge_list_loop(path) -> CooGraph:
+    """The line-by-line parser: the whole grammar and every error it raises."""
     src: list = []
     dst: list = []
     declared_nodes = None
@@ -110,17 +185,7 @@ def load_edge_list(path) -> CooGraph:
                     raise ParseError(
                         f"{path}:{lineno}: directives are only allowed on line 1"
                     )
-                parts = line.split()
-                if len(parts) != 2 or parts[0] != "%nodes":
-                    raise ParseError(f"{path}:{lineno}: unknown directive {line!r}")
-                try:
-                    declared_nodes = int(parts[1])
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: invalid node count {parts[1]!r}"
-                    ) from None
-                if declared_nodes < 0:
-                    raise ParseError(f"{path}:{lineno}: node count must be >= 0")
+                declared_nodes = _nodes_directive(path, line)
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -156,6 +221,25 @@ def load_edge_list(path) -> CooGraph:
 
 def load_features(path, expected_nodes: int) -> np.ndarray:
     """Parse a header-less CSV of node features into an [n x f] matrix."""
+    x = _features_vectorized(path, expected_nodes)
+    return _features_loop(path, expected_nodes) if x is None else x
+
+
+def _features_vectorized(path, expected_nodes: int):
+    """The matrix when one loadtxt pass meets every rule of the loop, else None."""
+    with open(path, "rb") as fh:
+        if any(sep in chunk for chunk in iter(lambda: fh.read(1 << 16), b"")
+               for sep in _FLOAT_REJECTS):
+            return None
+    with _utf8_text(path) as fh:
+        x = _loadtxt(fh, np.float64, ",")
+    if x is None or len(x) != expected_nodes or not np.isfinite(x).all():
+        return None
+    return x
+
+
+def _features_loop(path, expected_nodes: int) -> np.ndarray:
+    """The line-by-line parser: the whole grammar and every error it raises."""
     rows: list = []
     width = None
     with _utf8_text(path) as fh:

@@ -145,6 +145,8 @@ class ModelSpec:
             raise ConfigError("feature widths must be positive")
         if not np.isfinite(self.epsilon):
             raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         # the weight streams keep only the seed's low 64 bits
         if not 0 <= self.seed <= MASK64:
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")

@@ -1,12 +1,18 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from oracles import SplitMix64, whole_array_er
 
+from gnnbench import data
 from gnnbench.data import (
+    _edge_list_loop,
+    _features_loop,
     gen_er_graph,
     gen_features,
     load_edge_list,
@@ -257,3 +263,221 @@ class TestRegistry:
 
     def test_sources(self):
         assert all(r.source == "file" for r in registry())
+
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+# edge cases of the grammar: the vectorized pass parses some itself (+5,
+# 007, \x0b, -1, 3-token rows, nan) and must then apply the loop's rules;
+# the others (1_000, full-width digits, #, \x1c in a CSV cell, empty cells,
+# whitespace-only CSV lines) it must hand to the loop
+TOKEN_MUTATIONS = [
+    lambda t: "+" + t,
+    lambda t: "00" + t,
+    lambda t: "\x0b" + t,
+    lambda t: t + "\x1c",
+    lambda t: "-1",
+    lambda t: str(2**63 - 1),
+    lambda t: str(2**63),
+    lambda t: "1_000",
+    lambda t: t[:1] + "_" + t[1:],
+    lambda t: t.translate(FULL_WIDTH),
+    lambda t: "#" + t,
+]
+LINE_MUTATIONS = [
+    lambda line: ["", line],
+    lambda line: [" \t ", line],
+    lambda line: ["# comment", line],
+    lambda line: ["#" + line],
+    lambda line: [line + " # note"],
+]
+EDGE_MUTATIONS = [
+    lambda line: [line.split(" ")[0]],
+    lambda line: [line + " 0"],
+    lambda line: [line, "%nodes 9"],
+]
+CSV_TOKEN_MUTATIONS = [
+    lambda t: "",
+    lambda t: "nan",
+    lambda t: "inf",
+    lambda t: "-inf",
+    lambda t: "1e400",
+]
+
+
+def outcome(load, *args):
+    """What a loader gives, with warnings as errors: the array bytes and
+    node count, or the error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.shape, out.flags.c_contiguous, out.tobytes()
+    return (out.num_nodes, out.src.tobytes(), out.dst.tobytes(),
+            out.weights.tobytes(), out.src.flags.c_contiguous,
+            out.dst.flags.c_contiguous)
+
+
+@st.composite
+def mutated_lines(draw, lines, sep, token_mutations, line_mutations):
+    """``lines`` with up to three mutations, joined by mixed line ends."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            tokens = lines[i].split(sep)
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(token_mutations))(tokens[j])
+            lines[i] = sep.join(tokens)
+        else:
+            lines[i:i + 1] = draw(st.sampled_from(line_mutations))(lines[i])
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=8))
+    lines = [f"{u} {v}" for u, v in pairs]
+    declared = draw(st.one_of(st.none(), st.integers(max(0, n - 2), n + 2)))
+    mutated = draw(mutated_lines(lines, " ", TOKEN_MUTATIONS,
+                                 LINE_MUTATIONS + EDGE_MUTATIONS))
+    return mutated if declared is None else f"%nodes {declared}\n{mutated}"
+
+
+@st.composite
+def feature_texts(draw):
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 4))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(
+        draw(st.sampled_from([repr, "%.17g".__mod__])))
+    lines = [",".join(draw(st.lists(cell, min_size=width, max_size=width)))
+             for _ in range(rows)]
+    mutated = draw(mutated_lines(lines, ",", TOKEN_MUTATIONS + CSV_TOKEN_MUTATIONS,
+                                 LINE_MUTATIONS))
+    return mutated, rows + draw(st.sampled_from([0, 0, 0, 1, -1]))
+
+
+def write_perfbench_files(tmp_path, seed=3, n=500, e=5000, f=32):
+    """An edge list and a feature CSV written the way perfbench writes them."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(e, 2))
+    edges, features = tmp_path / "g.edges", tmp_path / "x.csv"
+    with open(edges, "w", encoding="utf-8") as fh:
+        fh.write(f"%nodes {n}\n")
+        np.savetxt(fh, pairs, fmt="%d")
+    np.savetxt(features, gen_features(n, f, seed), fmt="%.17g", delimiter=",")
+    return edges, features
+
+
+class TestVectorizedLoaders:
+    """The loaders try one loadtxt pass and fall back to the line loop; on
+    every file they give what the loop alone gives, bytes or error."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edge_list_texts())
+    @example(text="0 -1\n")
+    @example(text="0 1 0\n")
+    @example(text="%nodes 2\n0 2\n")
+    @example(text="0 1 # note\n")
+    def test_edge_list_agrees_with_loop(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_edge_list, path) == outcome(_edge_list_loop, path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=feature_texts())
+    @example(case=("1.5\x1c,2\n", 1))
+    @example(case=("1,nan\n", 1))
+    @example(case=("1,2\n", 2))
+    def test_features_agree_with_loop(self, tmp_path, case):
+        text, expected_nodes = case
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (outcome(load_features, path, expected_nodes)
+                == outcome(_features_loop, path, expected_nodes))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n", "# only\n# comments\n",
+                                      "%nodes 4\n", "%nodes 4\n# none\n\n"])
+    def test_files_without_data(self, tmp_path, text):
+        path = tmp_path / "empty"
+        path.write_text(text)
+        assert outcome(load_edge_list, path) == outcome(_edge_list_loop, path)
+        for n in (0, 1):
+            assert (outcome(load_features, path, n)
+                    == outcome(_features_loop, path, n))
+
+    @pytest.mark.parametrize("raw", [b"0 1\n\xff 2\n", b"%nodes \xc3\n0 1\n",
+                                     b"1,2\n3,\xa0\n"])
+    def test_non_utf8_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "bad"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="bad: not UTF-8 text"):
+            load_edge_list(path)
+        with pytest.raises(ParseError, match="bad: not UTF-8 text"):
+            load_features(path, 2)
+
+    def test_perfbench_shaped_files_need_no_loop(self, tmp_path, monkeypatch):
+        # a fast path that quietly fell back on every call would pass the
+        # agreement tests and lose the whole gain
+        edges, features = write_perfbench_files(tmp_path)
+        want_g = outcome(_edge_list_loop, edges)
+        want_x = outcome(_features_loop, features, 500)
+
+        def no_loop(*args):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(data, "_edge_list_loop", no_loop)
+        monkeypatch.setattr(data, "_features_loop", no_loop)
+        assert outcome(load_edge_list, edges) == want_g
+        assert outcome(load_features, features, 500) == want_x
+
+    def test_feature_peak_memory_is_about_the_output(self, tmp_path):
+        # the line loop peaked at about 5.4 times the matrix
+        _, features = write_perfbench_files(tmp_path)
+        tracemalloc.start()
+        try:
+            x = load_features(features, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
+
+
+class TestNodesDirective:
+    """One helper parses ``%nodes`` for the vectorized pass and the loop."""
+
+    @pytest.mark.parametrize("text,nodes", [
+        ("%nodes 007\n0 1\n", 7),
+        ("%nodes 5   \n0 1\n", 5),
+        ("  %nodes\t5\n0 1\n", 5),
+        ("%nodes 5\r\n0 1\r\n", 5),
+    ])
+    def test_accepted(self, tmp_path, text, nodes):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        assert load_edge_list(path).num_nodes == nodes
+        assert outcome(load_edge_list, path) == outcome(_edge_list_loop, path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("%nodes -1\n0 1\n", ":1: node count must be >= 0"),
+        ("%nodes\n0 1\n", ":1: unknown directive '%nodes'"),
+        ("%NODES 5\n0 1\n", ":1: unknown directive '%NODES 5'"),
+        ("%nodes five\n0 1\n", ":1: invalid node count 'five'"),
+        ("%nodes 5 6\n0 1\n", ":1: unknown directive '%nodes 5 6'"),
+    ])
+    def test_rejected(self, tmp_path, text, message):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}{message}"
+        assert outcome(load_edge_list, path) == outcome(_edge_list_loop, path)

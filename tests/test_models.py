@@ -358,6 +358,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
             spec_for("gcn", "mp", (3, 3), seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_not_an_int_rejected(self, seed):
+        # 1.5 used to fail later inside init_weights, True to be recorded as true
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+            spec_for("gcn", "mp", (3, 3), seed=seed)
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_bounds_accepted(self, seed):
         assert spec_for("gcn", "mp", (3, 3), seed=seed).summary()["seed"] == seed
