@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -58,7 +59,8 @@ EXIT_DATA = 3
 EXIT_CONSISTENCY = 4
 
 # Tolerance used by `check` for the cross-model and dense-reference
-# comparisons, one entry per precision in ``bench.PRECISIONS``.
+# comparisons, one entry per precision in ``bench.PRECISIONS``. It is
+# relative: each comparison scales it by max(1, max |reference|).
 CHECK_TOLERANCE = {"f64": 1e-9, "f32": 1e-4}
 
 # Feature length used for synthetic er: datasets when the optional fifth
@@ -180,7 +182,10 @@ def read_config_file(path: str) -> dict:
     return entries
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls;
+    parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="gnnbench",
         description="Framework-independent GNN inference benchmark.",
@@ -346,6 +351,18 @@ def _check_line(ok: bool, name: str, detail: str) -> bool:
     return ok
 
 
+def _check_close(name: str, got: np.ndarray, want: np.ndarray, tol: float) -> bool:
+    """Print one PASS/FAIL line: ``got`` passes when every element is within
+    ``tol * max(1, max |want|)`` of ``want``, the maximum over its finite
+    elements, so the bound tracks the reference's scale and an infinity
+    cannot widen it."""
+    scale = float(np.max(np.abs(want), initial=1.0, where=np.isfinite(want)))
+    diff = float(np.max(np.abs(got - want))) if got.size else 0.0
+    used = tol * scale
+    return _check_line(diff <= used, name, f"max abs diff {diff:.3e} (tolerance "
+                       f"{used:.3e} = {tol:.0e} x {scale:.3e})")
+
+
 def check(cfg: CliConfig) -> int:
     """Equivalence and determinism suite for the configured pipeline."""
     g, x, record = resolve_dataset(cfg)
@@ -367,21 +384,14 @@ def check(cfg: CliConfig) -> int:
     for other in others:
         spec_b = dataclasses.replace(spec, comp_model=other)
         out_b = models.forward(spec_b, params, g_t, x_t)
-        diff = float(np.max(np.abs(out1 - out_b))) if out1.size else 0.0
-        all_ok &= _check_line(
-            diff <= tol, f"cross-model {cfg.comp} vs {other.value}",
-            f"max abs diff {diff:.3e} (tolerance {tol:.0e})",
-        )
+        all_ok &= _check_close(f"cross-model {cfg.comp} vs {other.value}",
+                               out1, out_b, tol)
     if not others:
         print(f"SKIP cross-model: {cfg.model} has a single computational model")
 
     if g.num_nodes <= DEFAULT_DENSE_LIMIT:
         ref = reference.dense_forward(spec, params, g, np.asarray(x, np.float64))
-        diff = float(np.max(np.abs(out1.astype(np.float64) - ref))) if out1.size else 0.0
-        all_ok &= _check_line(
-            diff <= tol, "dense-reference",
-            f"max abs diff {diff:.3e} (tolerance {tol:.0e})",
-        )
+        all_ok &= _check_close("dense-reference", out1.astype(np.float64), ref, tol)
     else:
         print(f"SKIP dense-reference: {g.num_nodes} nodes exceed the dense "
               f"limit {DEFAULT_DENSE_LIMIT}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import CapacityError, FormatError, NormalizationError
 
@@ -191,17 +191,28 @@ class CsrGraph:
         )
 
 
-def _stable_node_order(nodes: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(nodes, kind="stable")`` for values in ``[0, n)``, in O(e + n).
+def _stable_node_order(nodes: np.ndarray, n: int) -> tuple:
+    """``(order, row_ptr)`` of a stable counting sort of ``nodes``, whose
+    values lie in ``[0, n)``, in O(e + n).
 
-    Row ``v`` of the ``n x e`` incidence matrix holds a one at each column
-    ``k`` with ``nodes[k] == v``; its canonical CSR lists each row's columns
-    in ascending order, so its column indices are that permutation.
+    ``order`` is ``np.argsort(nodes, kind="stable")``, and node ``v``'s
+    positions in it run from ``row_ptr[v]`` up to ``row_ptr[v + 1]``. This
+    is scipy's compiled COO-to-CSR conversion (``coo_tocsr``) of the ``n x
+    e`` incidence matrix with a one at ``(nodes[k], k)``, called directly:
+    its column indices are the permutation, and its row pointer the
+    counts' prefix sum. The loop writes at ``row_ptr[nodes[k]]`` unchecked,
+    so ``nodes`` must be in range, as ``CooGraph`` guarantees.
     """
     e = len(nodes)
-    incidence = scipy.sparse.coo_array(
-        (np.ones(e, dtype=np.int8), (nodes, np.arange(e))), shape=(n, e))
-    return incidence.tocsr().indices.astype(np.int64, copy=False)
+    order = np.empty(e, dtype=np.int64)
+    row_ptr = np.empty(n + 1, dtype=np.int64)
+    # the matrix values are never read back, so one zero buffer serves as
+    # their input and their output
+    values = np.zeros(e, dtype=np.int8)
+    _sparsetools.coo_tocsr(n, e, e, np.asarray(nodes, dtype=np.int64),
+                           np.arange(e, dtype=np.int64), values,
+                           row_ptr, order, values)
+    return order, row_ptr
 
 
 def coo_to_csr(g: CooGraph) -> CsrGraph:
@@ -212,8 +223,8 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     """
     n = g.num_nodes
     # stable passes by source, then destination: duplicates keep edge order
-    by_src = _stable_node_order(g.src, n)
-    order = by_src[_stable_node_order(g.dst[by_src], n)]
+    by_src, _ = _stable_node_order(g.src, n)
+    order = by_src[_stable_node_order(g.dst[by_src], n)[0]]
     rows = g.dst[order]
     cols = g.src[order]
     first = np.ones(len(order), dtype=bool)

@@ -14,17 +14,23 @@ order is fixed (ascending edge index, or CSR storage order) regardless of
 how the work might be partitioned, so repeated runs on identical inputs
 produce identical bytes.
 
-``scatter``, ``spmm`` and ``sgemm`` share one primitive, a CSR-times-dense
-product evaluated by ``scipy.sparse``: each output row starts from zero and
-adds ``values[t] * x[col_idx[t]]`` for its entries ``t`` in storage order,
-one rounding per multiply and per add. ``spmm`` passes its matrix as is;
-``scatter`` passes the incidence the caller prepared once per graph (see
-``gnnbench.models.prepare``), whose row i lists the edges into i in
+``scatter``, ``spmm`` and ``sgemm`` share one primitive, scipy's compiled
+CSR-times-dense loop (``csr_matvecs``, or ``csr_matvec`` for a single
+column): each output row starts from zero and adds ``values[t] *
+x[col_idx[t]]`` for its entries ``t`` in storage order, one rounding per
+multiply and per add. The loop is called directly, through the private
+module ``scipy.sparse._sparsetools``, with no ``scipy.sparse`` object built
+per call. It is the loop ``csr_array @ x`` reaches, and a contract test
+pins the two to the same bytes, so a scipy release that changes either
+fails the test suite instead of changing outputs; perfbench's reference
+outputs stay on the public ``scipy.sparse`` API. ``spmm`` passes its matrix
+as is; ``scatter`` passes the incidence the caller prepared once per graph
+(see ``gnnbench.models.prepare``), whose row i lists the edges into i in
 ascending edge order with their weights as the values, so a call does no
 sort, count or weight gather and a weighted sum needs no e x f temporary;
-``sgemm`` passes its left operand as a dense CSR that keeps explicit
-zeros, so ``inf * 0`` still yields NaN and the inner dimension is summed
-in ascending order, as in the scalar triple loop.
+``sgemm`` passes its left operand, in blocks of rows, as a dense CSR that
+keeps explicit zeros, so ``inf * 0`` still yields NaN and the inner
+dimension is summed in ascending order, as in the scalar triple loop.
 
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
@@ -48,9 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import IndexRangeError, ShapeError
 from .graph import CsrGraph
@@ -132,22 +139,58 @@ def spmm_counters(n: int, nnz: int, f: int) -> OpCounters:
 _SPARSETOOLS_TYPES = frozenset("?bBhHiIlLqQfdgFDG")
 
 
+def _product_dtype(values: np.ndarray, x: np.ndarray) -> np.dtype:
+    """``np.result_type(values, x)``, as numpy's mixed-type arithmetic
+    gives it; TypeError for a type the sparsetools loops are not built for."""
+    dtype = np.result_type(values, x)
+    if dtype.char not in _SPARSETOOLS_TYPES:
+        raise TypeError(f"no sparse product kernel for dtype {dtype}")
+    return dtype
+
+
 def _csr_matmul(row_ptr: np.ndarray, col_idx: np.ndarray, values: np.ndarray,
-                x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for the CSR matrix ``A = (row_ptr, col_idx, values)``.
+                num_cols: int, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """``A @ x`` for the ``len(row_ptr) - 1`` x ``num_cols`` CSR matrix
+    ``A = (row_ptr, col_idx, values)``.
 
     Row ``i`` of the result starts from zero and adds ``values[t] *
     x[col_idx[t]]`` for ``t`` from ``row_ptr[i]`` up to ``row_ptr[i + 1]``,
     in that order. Operands are cast to ``np.result_type(values, x)`` first,
-    as numpy's mixed-type arithmetic does.
+    as numpy's mixed-type arithmetic does. The products are added into
+    ``out`` when it is given, a zeroed C-contiguous array of the result's
+    shape and dtype, else into a new one.
+
+    The index arrays are int64 and must hold a valid CSR pattern:
+    ``row_ptr`` non-decreasing from 0 and every ``col_idx`` entry in
+    ``[0, num_cols)``, as ``CsrGraph`` guarantees. The compiled loop trusts
+    them; the O(1) checks here are the lengths and shapes it would otherwise
+    read or write past.
     """
-    dtype = np.result_type(values, x)
-    if dtype.char not in _SPARSETOOLS_TYPES:
-        raise TypeError(f"no sparse product kernel for dtype {dtype}")
-    a = scipy.sparse.csr_array(
-        (values.astype(dtype, copy=False), col_idx, row_ptr),
-        shape=(len(row_ptr) - 1, x.shape[0]))
-    return a @ x.astype(dtype, copy=False)
+    dtype = _product_dtype(values, x)
+    n_row = len(row_ptr) - 1
+    if (x.ndim != 2 or x.shape[0] != num_cols
+            or not len(col_idx) == len(values) == row_ptr[-1]):
+        raise ShapeError(
+            f"CSR matrix of {n_row}x{num_cols} with {row_ptr[-1]} entries "
+            f"({len(col_idx)} columns, {len(values)} values) x {x.shape}")
+    n_vecs = x.shape[1]
+    if out is None:
+        out = np.zeros((n_row, n_vecs), dtype=dtype)
+    elif (out.shape != (n_row, n_vecs) or out.dtype != dtype
+          or not out.flags.c_contiguous):
+        raise ShapeError(f"output {out.shape} {out.dtype} is not a C-contiguous "
+                         f"({n_row}, {n_vecs}) {dtype} array")
+    values = values.astype(dtype, copy=False)
+    x = x.astype(dtype, copy=False).ravel()
+    # as in csr_array @ x, one column goes through the one-vector loop:
+    # where two NaNs meet, the two loops can keep different ones
+    if n_vecs == 1:
+        _sparsetools.csr_matvec(n_row, num_cols, row_ptr, col_idx, values, x,
+                                out.ravel())
+    else:
+        _sparsetools.csr_matvecs(n_row, num_cols, n_vecs, row_ptr, col_idx,
+                                 values, x, out.ravel())
+    return out
 
 
 def _check_index(index: np.ndarray, n: int) -> np.ndarray:
@@ -195,12 +238,28 @@ def scatter(src: np.ndarray, incidence: CsrGraph,
         )
     if not isinstance(op, ReduceOp):
         raise ValueError(f"unknown reduce op {op!r}")
-    out = _csr_matmul(incidence.row_ptr, incidence.col_idx, incidence.values, src)
+    out = _csr_matmul(incidence.row_ptr, incidence.col_idx, incidence.values,
+                      incidence.num_cols, src)
     if op is ReduceOp.MEAN:
         counts = np.diff(incidence.row_ptr)
         received = counts > 0
         out[received] /= counts[received, None].astype(out.dtype)
     return out
+
+
+# sgemm's left operand enters the sparse product in blocks of at most this
+# many entries, so the dense pattern of a block stays small enough to cache.
+_SGEMM_BLOCK = 2**16
+
+
+@lru_cache(maxsize=8)
+def _dense_pattern(rows: int, k: int) -> tuple:
+    """Read-only ``(row_ptr, col_idx)`` of a dense ``rows x k`` CSR block."""
+    row_ptr = np.arange(rows + 1, dtype=np.int64) * k
+    col_idx = np.tile(np.arange(k, dtype=np.int64), rows)
+    row_ptr.setflags(write=False)
+    col_idx.setflags(write=False)
+    return row_ptr, col_idx
 
 
 def sgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,15 +268,26 @@ def sgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` enters the sparse product as a CSR matrix holding every entry,
     zeros included, so the result is bit-identical to the scalar triple
     loop ``out[i][j] += a[i][k] * b[k][j]`` with k innermost and ascending.
+    Rows go through in blocks of at most ``_SGEMM_BLOCK`` entries of ``a``,
+    each into its slice of one output; a row's sum never spans two blocks,
+    so blocking leaves every byte as it is.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"sgemm shape mismatch: {a.shape} x {b.shape}")
+    dtype = _product_dtype(a, b)
+    a = np.ascontiguousarray(a, dtype=dtype)
+    b = np.ascontiguousarray(b, dtype=dtype)
     m, k = a.shape
-    row_ptr = np.arange(m + 1, dtype=np.int64) * k
-    col_idx = np.tile(np.arange(k, dtype=np.int64), m)
-    return _csr_matmul(row_ptr, col_idx, a.ravel(), b)
+    out = np.zeros((m, b.shape[1]), dtype=dtype)
+    rows = max(1, min(m, _SGEMM_BLOCK // max(k, 1)))
+    for start in range(0, m, rows):
+        block = a[start:start + rows]
+        row_ptr, col_idx = _dense_pattern(len(block), k)
+        _csr_matmul(row_ptr, col_idx, block.ravel(), k, b,
+                    out[start:start + rows])
+    return out
 
 
 def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
@@ -230,5 +300,5 @@ def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"spmm shape mismatch: {a.num_rows}x{a.num_cols} x {x.shape}"
         )
-    return _csr_matmul(a.row_ptr, a.col_idx, a.values, x)
+    return _csr_matmul(a.row_ptr, a.col_idx, a.values, a.num_cols, x)
 

@@ -281,9 +281,7 @@ class MessagePassing(NamedTuple):
 def _message_passing(g: CooGraph) -> MessagePassing:
     n, e = g.num_nodes, g.num_edges
     # each destination keeps its edges in edge-list order
-    order = _stable_node_order(g.dst, n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g.dst, minlength=n), out=row_ptr[1:])
+    order, row_ptr = _stable_node_order(g.dst, n)
     return MessagePassing(g.src[order], CsrGraph(
         n, e, row_ptr, np.arange(e, dtype=np.int64), g.weights[order]))
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gnnbench import bench, cli, data
+from gnnbench import bench, cli, data, reference
 from gnnbench.bench import parse_report_json
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, FormatError
@@ -263,6 +263,38 @@ class TestCheckCommand:
         assert cli.main(["check", "--dataset", f"{edges},{feats}"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def large_dataset(self, tmp_path):
+        edges = tmp_path / "e.txt"
+        edges.write_text("0 1\n1 2\n")
+        feats = tmp_path / "f.csv"
+        feats.write_text("1.0,2.0\n1e39,0.5\n-3.0,4.0\n")
+        return ["check", "--dataset", f"{edges},{feats}", "--precision", "f64"]
+
+    def test_tolerance_scales_with_the_reference(self, tmp_path, capsys):
+        # reordering error near 1e39 is about 1e22 in absolute terms, about
+        # 4e-16 of the outputs' scale
+        assert cli.main(self.large_dataset(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        match = re.search(r"PASS dense-reference: max abs diff \S+ "
+                          r"\(tolerance (\S+) = 1e-09 x (\S+)\)", out)
+        used, scale = map(float, match.groups())
+        assert scale > 1e38 and used == pytest.approx(1e-9 * scale, rel=1e-3)
+
+    def test_scaled_tolerance_still_fails_a_moved_element(self, tmp_path, capsys,
+                                                          monkeypatch):
+        dense_forward = reference.dense_forward
+
+        def moved(*args):
+            ref = dense_forward(*args)
+            ref[1, 0] += 1e-6 * np.abs(ref).max()
+            return ref
+
+        monkeypatch.setattr(reference, "dense_forward", moved)
+        assert cli.main(self.large_dataset(tmp_path)) == 4
+        out = capsys.readouterr().out
+        assert "PASS cross-model" in out and "FAIL dense-reference" in out
+
 
 class TestDatasetsCommand:
     def test_registry_rows(self, capsys):
@@ -482,6 +514,26 @@ class TestDashLeadingValues:
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["run", "--epsilon"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_mains_share_no_state(self, monkeypatch, capsys):
+        # the parser is shared, so a flag of one call must not leak into
+        # the next
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+        assert cli.main(["run", "--epsilon", "0.5", "--model", "gin"]) == 0
+        assert cli.main(["run"]) == 0
+        assert [(c.epsilon, c.model) for c in seen] == [(0.5, "gin"), (0.0, "gcn")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert cli.main(["run", "--model", "sage", "--comp", "spmm"]) == 2
+        assert cli.main(["run", "--warmup", "2"]) == 0
+        assert seen[-1] == cli.CliConfig(warmup=2)
 
 
 class TestConfigComments:

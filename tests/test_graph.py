@@ -277,12 +277,16 @@ class TestStableNodeOrder:
         nodes = np.array(data.draw(st.lists(st.integers(0, n - 1),
                                             min_size=e, max_size=e)),
                          dtype=np.int64)
-        got = _stable_node_order(nodes, n)
-        assert got.dtype == np.int64
+        got, row_ptr = _stable_node_order(nodes, n)
+        assert got.dtype == row_ptr.dtype == np.int64
         assert np.array_equal(got, np.argsort(nodes, kind="stable"))
+        assert np.array_equal(row_ptr[1:], np.cumsum(np.bincount(nodes, minlength=n)))
+        assert row_ptr[0] == 0
 
     def test_no_edges(self):
-        assert _stable_node_order(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+        order, row_ptr = _stable_node_order(np.zeros(0, dtype=np.int64), 1)
+        assert order.shape == (0,)
+        assert row_ptr.tolist() == [0, 0]
 
 
 class TestValidation:

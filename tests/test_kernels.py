@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -428,3 +431,133 @@ class TestWeightedScatter:
         (w_calls, _, w_counters), = weighted.snapshot().values()
         assert (w_calls, w_counters) == (calls, counters) == \
             (1, scatter_counters(6, 3, 4, op))
+
+
+@st.composite
+def csr_patterns(draw, max_rows=5, max_cols=5, max_per_row=4):
+    """``(row_ptr, col_idx, num_cols)`` with empty rows, repeated and
+    unsorted columns allowed."""
+    n_row = draw(st.integers(0, max_rows))
+    n_col = draw(st.integers(0, max_cols))
+    per_row = [draw(st.integers(0, max_per_row if n_col else 0))
+               for _ in range(n_row)]
+    col_idx = np.array(draw(st.lists(st.integers(0, max(n_col - 1, 0)),
+                                     min_size=sum(per_row), max_size=sum(per_row))),
+                       dtype=np.int64)
+    row_ptr = np.concatenate([[0], np.cumsum(per_row, dtype=np.int64)])
+    return row_ptr, col_idx, n_col
+
+
+class TestDirectCsrLoop:
+    """``_csr_matmul`` calls scipy's compiled loop directly; it must give the
+    bytes of the public ``csr_array @ x`` that reaches the same loop."""
+
+    @given(st.data(), csr_patterns(), st.sampled_from(FLOATS),
+           st.sampled_from(FLOATS))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_public_csr_array(self, data, pattern, v_dtype, x_dtype):
+        row_ptr, col_idx, n_col = pattern
+        values = data.draw(special_arrays((len(col_idx),), v_dtype))
+        f = data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):
+            x = data.draw(special_arrays((n_col, 2 * f), x_dtype))[:, ::2]
+        else:
+            x = data.draw(special_arrays((n_col, f), x_dtype))  # C or F order
+        x.setflags(write=data.draw(st.booleans()))
+        want = scipy.sparse.csr_array((values, col_idx, row_ptr),
+                                      shape=(len(row_ptr) - 1, n_col)) @ x
+        got = kernels._csr_matmul(row_ptr, col_idx, values, n_col, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_special_products(self):
+        # -0.0 products into a +0.0 start, and inf * 0 is NaN
+        row_ptr = np.array([0, 1, 3], dtype=np.int64)
+        col_idx = np.array([0, 0, 1], dtype=np.int64)
+        values = np.array([-0.0, np.inf, 2.0])
+        x = np.array([[1.0, 0.0], [-0.0, 3.0]])
+        got = kernels._csr_matmul(row_ptr, col_idx, values, 2, x)
+        want = scipy.sparse.csr_array((values, col_idx, row_ptr), shape=(2, 2)) @ x
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[0]).any() and np.isnan(got[1, 1])
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_operand_rows_must_match_columns(self, rows):
+        # the compiled loop checks nothing: a short x would be read past
+        row_ptr = np.array([0, 1, 2], dtype=np.int64)
+        col_idx = np.array([0, 2], dtype=np.int64)
+        with pytest.raises(ShapeError, match=rf"2x3 with 2 entries .* x \({rows}, 2\)"):
+            kernels._csr_matmul(row_ptr, col_idx, np.ones(2), 3, np.ones((rows, 2)))
+
+    def test_entry_count_must_match(self):
+        row_ptr = np.array([0, 3], dtype=np.int64)
+        col_idx = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(ShapeError, match="3 entries"):
+            kernels._csr_matmul(row_ptr, col_idx, np.ones(2), 2, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("out", [np.zeros((2, 2)), np.zeros((1, 3)),
+                                     np.zeros((1, 4))[:, ::2],
+                                     np.zeros((1, 2), dtype=np.float32)])
+    def test_output_must_fit(self, out):
+        # a wrong shape would be written past; a strided or converted copy
+        # would take the products and leave ``out`` zero
+        row_ptr = np.array([0, 1], dtype=np.int64)
+        col_idx = np.array([0], dtype=np.int64)
+        with pytest.raises(ShapeError, match="output"):
+            kernels._csr_matmul(row_ptr, col_idx, np.ones(1), 1, np.ones((1, 2)),
+                                out)
+
+
+class TestSgemmBlocks:
+    """sgemm runs ``a`` through the product in row blocks of at most
+    ``_SGEMM_BLOCK`` entries; blocking must leave every byte as the triple
+    loop gives it."""
+
+    def calls(self, monkeypatch, a, b):
+        rows = []
+        primitive = kernels._csr_matmul
+
+        def spy(*args):
+            rows.append(len(args[0]) - 1)
+            return primitive(*args)
+
+        monkeypatch.setattr(kernels, "_csr_matmul", spy)
+        out = sgemm(a, b)
+        assert out.tobytes() == np.array(naive_matmul(to_lists(a), to_lists(b))).tobytes()
+        return rows
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_around_one_block(self, monkeypatch, extra):
+        k = 4096
+        block = kernels._SGEMM_BLOCK // k
+        m = block + extra
+        rows = self.calls(monkeypatch, rand((m, k), 31), rand((k, 2), 32))
+        assert rows == ([m] if extra <= 0 else [block, 1])
+
+    def test_one_row_per_block(self, monkeypatch):
+        k = kernels._SGEMM_BLOCK + 1
+        assert self.calls(monkeypatch, rand((3, k), 33), rand((k, 1), 34)) \
+            == [1, 1, 1]
+
+    def test_inner_dimension_one(self, monkeypatch):
+        assert self.calls(monkeypatch, rand((7, 1), 35), rand((1, 3), 36)) == [7]
+
+    def test_cached_pattern_is_read_only(self):
+        row_ptr, col_idx = kernels._dense_pattern(3, 2)
+        assert not row_ptr.flags.writeable and not col_idx.flags.writeable
+        assert row_ptr.tolist() == [0, 2, 4, 6] and col_idx.tolist() == [0, 1] * 3
+
+    def test_peak_memory_below_twice_the_output(self):
+        # an m x k column index would take about 31 MB at this Cora-width
+        # shape; the warm-up call builds the cached block patterns
+        a = rand((2708, 1433), 37)
+        b = rand((1433, 16), 38)
+        want = sgemm(a, b)
+        tracemalloc.start()
+        try:
+            got = sgemm(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 2 * got.nbytes
