@@ -272,6 +272,11 @@ def _classify_dataset(spec_str: str):
         seed = _parse_seed("dataset seed", parts[3])
         f = (_parse_int("dataset f", parts[4], minimum=1)
              if len(parts) == 5 else DEFAULT_SYNTHETIC_FEATURES)
+        if n * f > data.MAX_ER_PAIRS:
+            raise ConfigError(
+                f"dataset: er:{n} with {f} features has {n * f} feature values "
+                f"to draw, above the generator's cap of {data.MAX_ER_PAIRS}"
+            )
         return "er", (n, p, seed, f)
     if spec_str.lower() in _PRESETS:
         return "preset", _PRESETS[spec_str.lower()]

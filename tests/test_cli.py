@@ -487,6 +487,24 @@ class TestErPairCap:
         with pytest.raises(ConfigError, match="cap"):
             cli.parse_config(["run", "--dataset", f"er:{n}:0.1:1"])
 
+    @pytest.mark.parametrize("n,f", [(2, data.MAX_ER_PAIRS // 2),
+                                     (32768, data.MAX_ER_PAIRS // 32768)])
+    def test_feature_table_at_cap_accepted(self, n, f):
+        assert n * f == data.MAX_ER_PAIRS
+        cli.parse_config(["run", "--dataset", f"er:{n}:0.1:1:{f}"])
+
+    @pytest.mark.parametrize("spec", ["er:10:0.5:1:1000000000000",
+                                      f"er:2:0.5:1:{data.MAX_ER_PAIRS // 2 + 1}"])
+    def test_feature_table_above_cap_fails_before_drawing(self, spec, capsys,
+                                                          monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a dataset the cap rejects")
+        monkeypatch.setattr(data, "gen_er_graph", no_draw)
+        monkeypatch.setattr(data, "gen_features", no_draw)
+        assert cli.main(["run", "--dataset", spec]) == cli.EXIT_USAGE == 2
+        assert "feature values to draw, above the generator's cap" in \
+            capsys.readouterr().err
+
 
 class TestDashLeadingValues:
     @pytest.mark.parametrize("key,text,expected", [

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import SplitMix64, whole_array_er
 
-from gnnbench import data
+from gnnbench import data, rng
 from gnnbench.data import (
     _edge_list_loop,
     _features_loop,
@@ -20,7 +20,7 @@ from gnnbench.data import (
     registry,
 )
 from gnnbench.errors import FormatError, ParseError
-from gnnbench.rng import mix_key
+from gnnbench.rng import GOLDEN, mix_key
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,6 +243,58 @@ class TestGenFeatures:
         x = gen_features(16, 1, 7)
         assert x.shape == (16, 1)
         assert g.num_edges > 0
+
+
+class TestWorkerCount:
+    """The generators give the same bytes, and keep their memory bounds,
+    whatever number of threads the stream is split across."""
+
+    WORKERS = range(1, rng._MAX_WORKERS + 1)
+    # 0 and 2 pairs, one block, two blocks, and 573 * 572 pairs in six
+    SHAPES = [(1, 3), (2, 11), (17, 2**64 - 1), (300, 5), (573, 8)]
+
+    @pytest.fixture(params=WORKERS)
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n,seed", SHAPES)
+    @pytest.mark.parametrize("p", [0.0, 0.0125, 1.0])
+    def test_er_matches_whole_array_formula(self, workers, n, seed, p):
+        g = gen_er_graph(n, p, seed)
+        src, dst = whole_array_er(n, p, seed)
+        assert g.src.tobytes() == src.tobytes()
+        assert g.dst.tobytes() == dst.tobytes()
+
+    @pytest.mark.parametrize("n,seed", SHAPES[2:])
+    def test_er_p_equal_to_a_late_draw(self, workers, n, seed):
+        i = n * (n - 1) * 7 // 9  # past the first block when there are two or more
+        p = SplitMix64(seed + i * GOLDEN).next_float()  # draw i of the stream
+        g = gen_er_graph(n, p, seed)
+        src, dst = whole_array_er(n, p, seed)
+        assert g.src.tobytes() == src.tobytes()
+        assert g.dst.tobytes() == dst.tobytes()
+        above = gen_er_graph(n, float(np.nextafter(p, 1.0)), seed)
+        u, pos = divmod(i, n - 1)
+        pair = (u, pos + (pos >= u))
+        assert pair not in set(zip(g.src.tolist(), g.dst.tolist()))
+        assert pair in set(zip(above.src.tolist(), above.dst.tolist()))
+
+    def test_er_matches_sequential_rule(self, workers):
+        g = gen_er_graph(300, 0.3, 5)
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == sequential_er(300, 0.3, 5)
+
+    def test_features_match_sequential_stream(self, workers):
+        x = gen_features(300, 300, 4)
+        u = sequential_draws(300 * 300, mix_key(4, 0x66656174))  # "feat"
+        assert x.tobytes() == (2.0 * np.array(u) - 1.0).reshape(300, 300).tobytes()
+
+    @pytest.mark.parametrize("bound", [
+        TestGenErGraph.test_memory_does_not_grow_with_pair_count,
+        TestGenFeatures.test_peak_memory_is_about_the_output])
+    def test_memory_bounds_hold_at_the_cap(self, monkeypatch, bound):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: rng._MAX_WORKERS)
+        bound(None)
 
 
 class TestRegistry:
