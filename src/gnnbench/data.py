@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import FormatError, ParseError
 from .graph import CooGraph
-from .rng import mix_key, top53_map, uniform_array
+from .rng import _top53_below, mix_key, uniform_array
 
 __all__ = [
     "DatasetRecord",
@@ -55,9 +55,9 @@ __all__ = [
 _FEATURES_ROLE = 0x66656174  # "feat"
 
 # Most ordered pairs, and most feature values, an er: dataset spec may ask
-# the generator to draw: its time is O(n^2) whatever p is, about 2.7 ns per
-# pair on two threads, so 2^30 pairs (n = 32768) took 2.8-2.9 s on a 2-vCPU
-# Intel Xeon with numpy 2.4 (4.4-4.7 s on one).
+# the generator to draw: its time is O(n^2) whatever p is, about 2-3 ns per
+# pair on two threads, so 2^30 pairs (n = 32768, p = 0.001) took 2.2-2.5 s
+# on a 2-vCPU Intel Xeon with numpy 2.4 (3.7-3.8 s on one).
 MAX_ER_PAIRS = 1 << 30
 
 # The ASCII separators 0x1c-0x1f: loadtxt strips them around a number like
@@ -291,10 +291,8 @@ def gen_er_graph(n: int, p: float, seed: int) -> CooGraph:
     # A draw is k * 2^-53 for its top 53 bits k, and k * 2^-53 < p exactly
     # when k < ceil(p * 2^53); both sides are exact, so the integer test
     # keeps the same pairs as comparing the float draw with p.
-    threshold = np.uint64(math.ceil(p * 2.0**53))
-    kept = top53_map(seed, num_pairs,
-                     lambda start, k: np.flatnonzero(k < threshold) + start)
-    src, pos = np.divmod(np.concatenate(kept), n - 1)
+    threshold = math.ceil(p * 2.0**53)
+    src, pos = np.divmod(_top53_below(seed, num_pairs, threshold), n - 1)
     dst = pos + (pos >= src)  # skip the diagonal within each row
     return CooGraph(n, src, dst, np.ones(len(src), dtype=np.float64))
 

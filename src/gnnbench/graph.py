@@ -14,6 +14,13 @@ index the destination, i.e. row i of the CSR matrix lists the in-neighbors
 of node i. With that convention a sparse-times-dense product against the
 feature matrix directly produces per-node aggregations.
 
+Every edge layout comes from one primitive, ``_node_sort``: scipy's
+compiled stable counting sort (``coo_tocsr``) by a node array, which moves
+the edges' other endpoints and weights as its payload and returns them with
+the row pointer, in O(e + n) and with no permutation to gather by.
+:func:`coo_to_csr` is two of its passes, and ``models`` lays out MP's edges
+with one.
+
 All types are immutable after construction and safe to share across
 concurrent executors; every operation here is a pure function.
 """
@@ -191,28 +198,27 @@ class CsrGraph:
         )
 
 
-def _stable_node_order(nodes: np.ndarray, n: int) -> tuple:
-    """``(order, row_ptr)`` of a stable counting sort of ``nodes``, whose
-    values lie in ``[0, n)``, in O(e + n).
+def _node_sort(nodes: np.ndarray, n: int, cols: np.ndarray,
+               values: np.ndarray) -> tuple:
+    """``(row_ptr, cols, values)`` of a stable counting sort by ``nodes``,
+    whose values lie in ``[0, n)``, in O(e + n).
 
-    ``order`` is ``np.argsort(nodes, kind="stable")``, and node ``v``'s
-    positions in it run from ``row_ptr[v]`` up to ``row_ptr[v + 1]``. This
-    is scipy's compiled COO-to-CSR conversion (``coo_tocsr``) of the ``n x
-    e`` incidence matrix with a one at ``(nodes[k], k)``, called directly:
-    its column indices are the permutation, and its row pointer the
-    counts' prefix sum. The loop writes at ``row_ptr[nodes[k]]`` unchecked,
-    so ``nodes`` must be in range, as ``CooGraph`` guarantees.
+    ``cols`` and ``values`` come back in the order ``np.argsort(nodes,
+    kind="stable")`` gives them, and node ``v``'s entries run from
+    ``row_ptr[v]`` up to ``row_ptr[v + 1]``. This is scipy's compiled
+    COO-to-CSR conversion (``coo_tocsr``) called directly, with ``cols`` and
+    ``values`` as the payload it moves: one pass, with no permutation to
+    gather by. The loop writes at ``row_ptr[nodes[k]]`` unchecked, so
+    ``nodes`` must be in range, as ``CooGraph`` guarantees; ``nodes`` and
+    ``cols`` are int64.
     """
     e = len(nodes)
-    order = np.empty(e, dtype=np.int64)
     row_ptr = np.empty(n + 1, dtype=np.int64)
-    # the matrix values are never read back, so one zero buffer serves as
-    # their input and their output
-    values = np.zeros(e, dtype=np.int8)
-    _sparsetools.coo_tocsr(n, e, e, np.asarray(nodes, dtype=np.int64),
-                           np.arange(e, dtype=np.int64), values,
-                           row_ptr, order, values)
-    return order, row_ptr
+    sorted_cols = np.empty(e, dtype=np.int64)
+    sorted_values = np.empty(e, dtype=values.dtype)
+    _sparsetools.coo_tocsr(n, n, e, nodes, cols, values,
+                           row_ptr, sorted_cols, sorted_values)
+    return row_ptr, sorted_cols, sorted_values
 
 
 def coo_to_csr(g: CooGraph) -> CsrGraph:
@@ -221,22 +227,30 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     Row i lists the in-neighbors of node i; duplicate (src, dst) pairs are
     coalesced by summation in edge order.
     """
-    n = g.num_nodes
+    n, e = g.num_nodes, g.num_edges
     # stable passes by source, then destination: duplicates keep edge order
-    by_src, _ = _stable_node_order(g.src, n)
-    order = by_src[_stable_node_order(g.dst[by_src], n)[0]]
-    rows = g.dst[order]
-    cols = g.src[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    # accumulated into zeros, so a lone -0.0 weight coalesces to +0.0
-    values = np.zeros(int(np.count_nonzero(first)), dtype=g.weights.dtype)
-    np.add.at(values, np.cumsum(first) - 1, g.weights[order])
-    rows = rows[first]
-    cols = cols[first]
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    return CsrGraph(n, n, row_ptr, cols, values)
+    src_ptr, dst, weights = _node_sort(g.src, n, g.dst, g.weights)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(src_ptr))
+    row_ptr, cols, values = _node_sort(dst, n, src, weights)
+    # an entry starts a group unless it repeats its row's previous column
+    first = np.empty(e + 1, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=first[1:e])
+    first[row_ptr] = True
+    first = first[:e]
+    # summed into zeros, so a lone -0.0 weight coalesces to +0.0, and a
+    # group's sum is ((0 + w1) + w2) + ... in edge order; without duplicates
+    # every entry is a group of its own, and the grouping is skipped
+    if first.all():
+        values += 0.0
+        return CsrGraph(n, n, row_ptr, cols, values)
+    groups = np.zeros(e + 1, dtype=np.int64)
+    np.cumsum(first, out=groups[1:])
+    repeats = ~first
+    summed = values[first]
+    summed += 0.0
+    # groups[k] groups start before entry k, so a repeat adds into the last
+    np.add.at(summed, groups[:-1][repeats] - 1, values[repeats])
+    return CsrGraph(n, n, groups[row_ptr], cols[first], summed)
 
 
 def csr_to_coo(a: CsrGraph) -> CooGraph:
@@ -278,9 +292,9 @@ def add_self_loops(g: CooGraph) -> CooGraph:
     Existing self-loops are left untouched, so the operation is idempotent.
     Appended loops follow the original edges in ascending node order.
     """
-    looped = np.unique(g.src[g.src == g.dst])
-    missing = np.setdiff1d(np.arange(g.num_nodes, dtype=np.int64), looped,
-                           assume_unique=True)
+    looped = np.zeros(g.num_nodes, dtype=bool)
+    looped[g.src[g.src == g.dst]] = True
+    missing = np.flatnonzero(~looped)
     if len(missing) == 0:
         return g
     src = np.concatenate([g.src, missing])

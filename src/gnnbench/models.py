@@ -27,8 +27,9 @@ as its computational model reads it. Under MP that is a
 :class:`MessagePassing`: the edge sources stably sorted by destination,
 which ``index_select`` gathers by, and the destination x edge incidence
 ``CsrGraph`` that ``scatter`` reduces through, its values the per-edge
-scale (GCN's normalized weights, GIN's raw weights, SAGE's units). Under
-SpMM it is the canonical ``CsrGraph``.
+scale (GCN's normalized weights, GIN's raw weights, SAGE's units); both
+come from one compiled pass of ``graph``'s stable node sort, which carries
+the sources and weights. Under SpMM it is the canonical ``CsrGraph``.
 
 The two computational models of the same network agree within floating
 point reordering error; that equivalence is the central correctness
@@ -53,7 +54,7 @@ from .errors import ConfigError, ShapeError
 from .graph import (
     CooGraph,
     CsrGraph,
-    _stable_node_order,
+    _node_sort,
     add_self_loops,
     coo_to_csr,
     normalized_edges,
@@ -281,9 +282,9 @@ class MessagePassing(NamedTuple):
 def _message_passing(g: CooGraph) -> MessagePassing:
     n, e = g.num_nodes, g.num_edges
     # each destination keeps its edges in edge-list order
-    order, row_ptr = _stable_node_order(g.dst, n)
-    return MessagePassing(g.src[order], CsrGraph(
-        n, e, row_ptr, np.arange(e, dtype=np.int64), g.weights[order]))
+    row_ptr, src, weights = _node_sort(g.dst, n, g.src, g.weights)
+    return MessagePassing(src, CsrGraph(
+        n, e, row_ptr, np.arange(e, dtype=np.int64), weights))
 
 
 # How each computational model lays out a pipeline's edges: MP gathers

@@ -8,11 +8,21 @@ vectorized counter-based function of the seed, block by block, bit-identical
 to the sequential form kept as a test oracle in ``tests/oracles.py``.
 
 Each block depends only on the seed and its offset, so a long stream's
-blocks are split across threads, one per usable CPU. Every block is computed
-the same way whichever thread takes it, and results are joined in stream
-order, so the bytes do not depend on the thread count or on timing.
+blocks are split across threads, one per usable CPU, when each thread gets
+enough blocks to repay starting it. Every block is computed the same way
+whichever thread takes it, and results are joined in stream order, so the
+bytes do not depend on the thread count or on timing.
 
-Uniform doubles in [0, 1) take the top 53 bits of each 64-bit output.
+One function, ``_map_runs``, computes every block up to the state before
+SplitMix64's last xor-shift, and the rest is finished where it is needed.
+Uniform doubles in [0, 1) finish every draw and take the top 53 bits of
+each 64-bit output. The Erdos-Renyi generator wants only the draws below a
+threshold, and the last xor-shift leaves a state's top 31 bits as they are,
+so it first keeps the states whose top 31 bits can still be below it (a
+prefilter; at p = 0.0125 about 1.25% of the draws) and finishes only those.
+Each worker finishes its candidates in batches of up to one block, not
+block by block: with two workers every numpy call per block is one more
+handoff of the GIL.
 """
 
 from __future__ import annotations
@@ -36,6 +46,15 @@ _BLOCK = 1 << 16
 # Numpy releases the GIL inside each pass over a block, so blocks run in
 # parallel on separate CPUs.
 _MAX_WORKERS = 4
+
+# Fewest blocks each worker takes before a stream is split: on a shorter
+# stream the pool costs more than a second worker saves. Two workers against
+# one, lowest of 100 calls on a 2-vCPU Intel Xeon with numpy 2.4: the er:
+# candidate pass took 0.64-0.67 vs 0.42-0.44 ms at 2 blocks, 0.92-0.97 vs
+# 0.86-0.87 ms at 4, 1.16-1.22 vs 1.15-1.25 ms at 6 and 1.41-1.52 vs
+# 1.49-1.65 ms at 8; uniform doubles broke even at 4 blocks and gained from
+# 6 (1.19-1.22 vs 1.40-1.62 ms).
+_MIN_RUN = 3
 
 _U_MIX1, _U_MIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
 _U30, _U27, _U31, _U11 = (np.uint64(s) for s in (30, 27, 31, 11))
@@ -81,60 +100,130 @@ def _pin(worker: int) -> None:
         pass
 
 
-def top53_map(seed: int, count: int, fn) -> list:
-    """``[fn(start, k), ...]`` over draws ``[0, count)`` of ``seed``'s stream.
+def _finish(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's last xor-shift and the cut to the top 53 bits, in place
+    on states ``z`` that stopped before it; ``t`` is uint64 scratch of the
+    same length. Returns ``z``."""
+    np.right_shift(z, _U31, out=t)
+    z ^= t
+    z >>= _U11
+    return z
 
-    ``k[i]`` holds the top 53 bits (``z >> 11``) of draw ``start + i``, as
-    uint64, in blocks of at most ``_BLOCK`` draws; the results come in
-    stream order. Contiguous runs of blocks go to up to ``_MAX_WORKERS``
-    workers, one per usable CPU: the calling thread takes the first run, and
-    a per-call pool of threads, each pinned to a CPU, takes the others; one
-    worker needs no pool.
-    ``k`` is a view of a buffer the worker's next block overwrites, so
-    ``fn`` keeps what it needs, and it must be safe to call from several
-    threads at once. An exception raised by ``fn`` reaches the caller.
+
+def _map_runs(seed: int, count: int, run) -> list:
+    """``[run(blocks, scratch), ...]``, one per worker, in stream order.
+
+    Draws ``[0, count)`` of ``seed``'s stream are cut into blocks of at most
+    ``_BLOCK``, and contiguous runs of blocks go to up to ``_MAX_WORKERS``
+    workers, one per usable CPU and each with at least ``_MIN_RUN`` blocks:
+    the calling thread takes the first run, and a per-call pool of threads,
+    each pinned to a CPU, takes the others; one worker needs no pool.
+    ``blocks`` yields ``(start, z)`` for each block of the worker's run:
+    ``z[i]`` is draw ``start + i``'s state before SplitMix64's last
+    xor-shift (:func:`_finish` completes it), a uint64 view of a buffer the
+    next block overwrites. ``scratch`` is the worker's own uint64 buffer of
+    one block's length. ``run`` must be safe to call from several threads at
+    once; an exception it raises reaches the caller.
     """
     num_blocks = -(-count // _BLOCK)
-    workers = max(1, min(_MAX_WORKERS, _usable_cpus(), num_blocks))
+    workers = max(1, min(_MAX_WORKERS, _usable_cpus(), num_blocks // _MIN_RUN))
     block = min(_BLOCK, count)
     # Every buffer is allocated here, before any worker starts: a worker
     # that allocated its own raised the process's peak RSS.
     steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     bufs = np.empty((workers, 2, block), dtype=np.uint64)
 
-    def run(worker: int) -> list:
+    def work(worker: int):
         if worker:  # a pool thread; the caller keeps its own affinity
             _pin(worker)
         buf, scratch = bufs[worker]
-        results = []
-        for b in range(num_blocks * worker // workers,
-                       num_blocks * (worker + 1) // workers):
-            start = b * _BLOCK
-            size = min(block, count - start)
-            z, t = buf[:size], scratch[:size]
-            # the state after ``start`` steps, reduced as a Python int: a
-            # numpy scalar product would warn on the wraparound
-            np.add(steps[:size], np.uint64((seed + start * GOLDEN) & MASK64),
-                   out=z)
-            np.right_shift(z, _U30, out=t)
-            z ^= t
-            z *= _U_MIX1
-            np.right_shift(z, _U27, out=t)
-            z ^= t
-            z *= _U_MIX2
-            np.right_shift(z, _U31, out=t)
-            z ^= t
-            z >>= _U11
-            results.append(fn(start, z))
-        return results
+
+        def blocks():
+            for b in range(num_blocks * worker // workers,
+                           num_blocks * (worker + 1) // workers):
+                start = b * _BLOCK
+                size = min(block, count - start)
+                z, t = buf[:size], scratch[:size]
+                # the state after ``start`` steps, reduced as a Python int: a
+                # numpy scalar product would warn on the wraparound
+                np.add(steps[:size],
+                       np.uint64((seed + start * GOLDEN) & MASK64), out=z)
+                np.right_shift(z, _U30, out=t)
+                z ^= t
+                z *= _U_MIX1
+                np.right_shift(z, _U27, out=t)
+                z ^= t
+                z *= _U_MIX2
+                yield start, z
+
+        return run(blocks(), scratch)
 
     if workers == 1:
-        runs = [run(0)]
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            rest = pool.map(run, range(1, workers))
-            runs = [run(0), *rest]
-    return [result for results in runs for result in results]
+        return [work(0)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = pool.map(work, range(1, workers))
+        return [work(0), *rest]
+
+
+def top53_map(seed: int, count: int, fn) -> list:
+    """``[fn(start, k), ...]`` over draws ``[0, count)`` of ``seed``'s stream.
+
+    ``k[i]`` holds the top 53 bits (``z >> 11``) of draw ``start + i``, as
+    uint64, in blocks of at most ``_BLOCK`` draws, split across workers as
+    :func:`_map_runs` splits them; the results come in stream order.
+    ``k`` is a view of a buffer the worker's next block overwrites, so
+    ``fn`` keeps what it needs, and it must be safe to call from several
+    threads at once. An exception raised by ``fn`` reaches the caller.
+    """
+    def run(blocks, scratch):
+        return [fn(start, _finish(z, scratch[:len(z)])) for start, z in blocks]
+
+    return [result for results in _map_runs(seed, count, run)
+            for result in results]
+
+
+def _top53_below(seed: int, count: int, threshold: int) -> np.ndarray:
+    """Ascending int64 positions of the draws in ``[0, count)`` of
+    ``seed``'s stream whose top 53 bits are below ``threshold``.
+
+    The last xor-shift moves bits only down, by 31, so a state before it
+    has the draw's top 31 bits, and a draw below ``threshold`` has that
+    state at most ``bound``. Each block keeps only those candidates, about
+    ``threshold * 2^-53 + 2^-31`` of its draws, and each worker finishes
+    them in batches of at most one block: finishing inside each block
+    measured no faster, for the GIL handoffs its extra numpy calls cost.
+    """
+    if threshold <= 0 or count == 0:  # nothing to keep; no bound for 0
+        return np.zeros(0, dtype=np.int64)
+    # 2^64 - 1 when threshold is 2^53, so every draw is a candidate
+    bound = np.uint64(((((threshold - 1) >> 22) + 1) << 33) - 1)
+    below = np.uint64(threshold)
+
+    def run(blocks, scratch):
+        kept, states, positions = [], [], []
+        pending = 0
+
+        def finish():
+            z = np.concatenate(states)
+            keep = _finish(z, scratch[:len(z)]) < below
+            kept.append(np.concatenate(positions)[keep])
+            states.clear()
+            positions.clear()
+
+        for start, z in blocks:
+            i = np.flatnonzero(z <= bound)
+            if pending + len(i) > len(scratch):
+                finish()
+                pending = 0
+            states.append(z[i])
+            i += start
+            positions.append(i)
+            pending += len(i)
+        finish()
+        return kept
+
+    return np.concatenate([k for kept in _map_runs(seed, count, run)
+                           for k in kept])
 
 
 def uniform_array(seed: int, count: int) -> np.ndarray:

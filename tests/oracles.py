@@ -8,9 +8,10 @@ package's kernel code paths are reused, so agreement between a kernel and
 its oracle is meaningful evidence.
 
 The numpy section at the end keeps the implementations the package used
-before its sparse product primitive, its sort-based CSR build and its
-block-wise graph generator: ``np.add.at`` scatter and spmm, rank-1 sgemm,
-``np.unique`` coalescing and the whole-array Erdos-Renyi formula, which
+before its sparse product primitive, its sort-based CSR build, its
+self-loop mask and its block-wise graph generator: ``np.add.at`` scatter and
+spmm, rank-1 sgemm, ``np.unique`` coalescing and loop finding, and the
+whole-array Erdos-Renyi formula, which
 compares float draws with ``p`` where the package compares integers. They
 work in the operands' own dtype, so they pin f32 results bit for bit where
 the list-based oracles, which compute in Python floats, cannot.
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from gnnbench.graph import CsrGraph
+from gnnbench.graph import CooGraph, CsrGraph
 
 
 def csr_identity(n, dtype=np.float64):
@@ -263,6 +264,20 @@ def unique_coo_to_csr(g):
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(unique_pairs[:, 0], minlength=n), out=row_ptr[1:])
     return CsrGraph(n, n, row_ptr, unique_pairs[:, 1], values)
+
+
+def unique_add_self_loops(g):
+    """A unit loop appended for every node with none, in ascending node
+    order, the looped nodes found by ``np.unique`` and ``np.setdiff1d``."""
+    looped = np.unique(g.src[g.src == g.dst])
+    missing = np.setdiff1d(np.arange(g.num_nodes, dtype=np.int64), looped,
+                           assume_unique=True)
+    if len(missing) == 0:
+        return g
+    ones = np.ones(len(missing), dtype=g.weights.dtype)
+    return CooGraph(g.num_nodes, np.concatenate([g.src, missing]),
+                    np.concatenate([g.dst, missing]),
+                    np.concatenate([g.weights, ones]))
 
 
 def whole_array_er(n, p, seed):

@@ -297,6 +297,72 @@ class TestWorkerCount:
         bound(None)
 
 
+class TestErPrefilter:
+    """Keeping only the candidates whose state before SplitMix64's last
+    xor-shift is at most the bound gives the same edges at the bound's
+    edges, on one worker and on the pool."""
+
+    SHAPES = [(17, 2**64 - 1), (300, 5), (573, 8)]
+
+    @pytest.fixture(params=[1, rng._MAX_WORKERS])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(rng, "_MIN_RUN", 1)
+        return request.param
+
+    @staticmethod
+    def assert_matches_oracle(n, p, seed):
+        g = gen_er_graph(n, p, seed)
+        src, dst = whole_array_er(n, p, seed)
+        assert g.src.tobytes() == src.tobytes()
+        assert g.dst.tobytes() == dst.tobytes()
+        return set(zip(g.src.tolist(), g.dst.tolist()))
+
+    @pytest.mark.parametrize("n,seed", SHAPES)
+    @pytest.mark.parametrize("p", [
+        0.0, 5e-324, 2.0**-53, 1 - 2.0**-53, 1.0,
+        # p about 0.3 with the low 22 bits of T - 1 all zero, and all ones
+        (644245094 * 2**22 + 1) * 2.0**-53, 644245095 * 2**22 * 2.0**-53,
+    ])
+    def test_matches_whole_array_formula(self, workers, n, seed, p):
+        self.assert_matches_oracle(n, p, seed)
+
+    @pytest.mark.parametrize("n,seed", SHAPES)
+    @pytest.mark.parametrize("threshold,kept", [
+        (lambda k: k, False),  # p is the draw itself
+        (lambda k: (k >> 22 << 22) + 1, False),  # T - 1: low 22 bits zero
+        (lambda k: ((k >> 22) + 1) << 22, True),  # T - 1: low 22 bits ones
+    ])
+    def test_a_draw_in_the_bounds_top_31_bits(self, workers, n, seed,
+                                              threshold, kept):
+        i = n * (n - 1) * 7 // 9  # past the first block when there are two or more
+        k = SplitMix64(seed + i * GOLDEN).next_u64() >> 11  # draw i's top 53 bits
+        t = threshold(k)
+        p = t * 2.0**-53
+        assert math.ceil(p * 2.0**53) == t
+        # the draw's top 31 bits are the bound's, so it is a candidate
+        assert k >> 22 == (t - 1) >> 22 and k & (2**22 - 1)
+        u, pos = divmod(i, n - 1)
+        pair = (u, pos + (pos >= u))
+        assert (pair in self.assert_matches_oracle(n, p, seed)) == kept
+
+    def test_candidates_take_one_block_per_worker(self, workers):
+        # p = 0.5 over 40 blocks: a worker that held all its candidates
+        # until the end would hold about twice the output more
+        block = rng._BLOCK * 8
+        tracemalloc.start()
+        try:
+            kept = rng._top53_below(3, 40 * rng._BLOCK, 2**52)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the batches and their join hold the output twice; a worker holds
+        # its two draw buffers, a batch of up to one block of candidates (a
+        # state and a position each), the batch joined, and a mask, beside
+        # the shared step table
+        assert peak < 2 * kept.nbytes + workers * 7 * block + block
+
+
 class TestRegistry:
     def test_five_rows_verbatim(self):
         rows = {(r.name, r.short_form, r.num_nodes, r.feature_length,

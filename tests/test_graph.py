@@ -11,6 +11,7 @@ from oracles import (
     csr_identity,
     dense_adjacency,
     dense_normalized,
+    unique_add_self_loops,
     unique_coo_to_csr,
 )
 
@@ -26,7 +27,7 @@ from gnnbench.graph import (
     csr_to_dense,
     normalized_edges,
 )
-from gnnbench.graph import _stable_node_order
+from gnnbench.graph import _node_sort
 from gnnbench.data import gen_er_graph
 
 
@@ -42,7 +43,7 @@ def multigraphs(draw):
                        st.integers(2**16 + 1, 2**17)))
     pool = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1,
                                          max_size=8)))
-    e = draw(st.integers(0, 30))
+    e = draw(st.one_of(st.integers(0, 30), st.integers(31, 300)))
     src = draw(st.lists(pool, min_size=e, max_size=e))
     dst = draw(st.lists(pool, min_size=e, max_size=e))
     weights = draw(st.lists(st.floats(-8, 8, allow_nan=False,
@@ -250,6 +251,13 @@ class TestProperties:
         g = CooGraph(g.num_nodes, g.src, g.dst, w)
         assert coo_to_csr(g) == unique_coo_to_csr(g)
 
+    @given(st.one_of(coo_graphs(), multigraphs()),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_add_self_loops_matches_unique_oracle(self, g, dtype):
+        g = g.astype(dtype)
+        assert add_self_loops(g) == unique_add_self_loops(g)
+
     @given(coo_graphs())
     @settings(max_examples=60, deadline=None)
     def test_self_loop_idempotence(self, g):
@@ -266,26 +274,31 @@ class TestProperties:
         assert ((w > 0.0) & (w <= 1.0)).all()
 
 
-class TestStableNodeOrder:
-    @given(st.data())
+class TestNodeSort:
+    @given(st.data(), st.sampled_from([np.int8, np.float32, np.float64]))
     @settings(max_examples=150, deadline=None)
-    def test_matches_stable_argsort(self, data):
+    def test_matches_stable_argsort(self, data, dtype):
         # n crosses the int16 and uint16 ranges; nodes repeat and many
         # appear nowhere
         n = data.draw(st.one_of(st.integers(1, 4), st.integers(1, 2**17)))
         e = data.draw(st.integers(0, 40))
-        nodes = np.array(data.draw(st.lists(st.integers(0, n - 1),
-                                            min_size=e, max_size=e)),
-                         dtype=np.int64)
-        got, row_ptr = _stable_node_order(nodes, n)
-        assert got.dtype == row_ptr.dtype == np.int64
-        assert np.array_equal(got, np.argsort(nodes, kind="stable"))
+        draw_nodes = lambda: np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=e, max_size=e)), dtype=np.int64)
+        nodes, cols = draw_nodes(), draw_nodes()
+        values = np.arange(e).astype(dtype)
+        row_ptr, got_cols, got_values = _node_sort(nodes, n, cols, values)
+        assert row_ptr.dtype == got_cols.dtype == np.int64
+        assert got_values.dtype == dtype
+        order = np.argsort(nodes, kind="stable")
+        assert np.array_equal(got_cols, cols[order])
+        assert got_values.tobytes() == values[order].tobytes()
         assert np.array_equal(row_ptr[1:], np.cumsum(np.bincount(nodes, minlength=n)))
         assert row_ptr[0] == 0
 
     def test_no_edges(self):
-        order, row_ptr = _stable_node_order(np.zeros(0, dtype=np.int64), 1)
-        assert order.shape == (0,)
+        empty = np.zeros(0, dtype=np.int64)
+        row_ptr, cols, values = _node_sort(empty, 1, empty, np.zeros(0))
+        assert cols.shape == values.shape == (0,)
         assert row_ptr.tolist() == [0, 0]
 
 

@@ -479,3 +479,57 @@ class TestPinnedBytes:
                     digest.update(repr(out.shape).encode())
                     digest.update(out.tobytes())
         assert digest.hexdigest() == PINNED_OUTPUTS[name]
+
+
+def _context_graphs():
+    yield gen_er_graph(40, 0.15, 11)
+    # a small-files-style edge list: unit weights, every seventh edge
+    # repeated, and self-loops (one of them twice), in a scrambled order
+    er = gen_er_graph(60, 0.05, 21)
+    again = np.arange(0, er.num_edges, 7)
+    loops = np.array([0, 5, 5, 17, 59])
+    src = np.concatenate([er.src, er.src[again], loops])
+    dst = np.concatenate([er.dst, er.dst[again], loops])
+    order = np.argsort((np.arange(len(src)) * 0x9E3779B1) & 0xFFFF, kind="stable")
+    yield CooGraph(60, src[order], dst[order])
+    # a weighted multigraph: four copies of 0 -> 1, whose weights sum to
+    # other bits in another order, a lone -0.0 on 2 -> 3, an all -0.0 group
+    # on 1 -> 4, and a kept loop on 5; every degree stays positive, so GCN
+    # normalizes it
+    src = np.array([0, 2, 1, 0, 3, 1, 0, 5, 1, 0, 4, 3, 0, 2])
+    dst = np.array([1, 3, 4, 1, 2, 4, 4, 5, 4, 1, 0, 2, 1, 0])
+    w = np.array([0.1, -0.0, -0.0, 0.7, 1.5, -0.0, 2.0, 0.75, -0.0, 0.2,
+                  0.25, 3.0, 0.3, 1.0])
+    yield CooGraph(6, src, dst, w)
+    yield CooGraph(5, np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
+# SHA-256 over every (graph, precision) context a pipeline prepares: MP's
+# sources and incidence arrays, SpMM's CSR arrays.
+PINNED_CONTEXTS = {
+    "gcn-mp": "6518d6d67a242ef4c09b769f96b7afe870addb8f15fe42c0fafcb6d5949090ae",
+    "gcn-spmm": "1cbb90d0c1e64a7c449924b97ee8c531f5718baf0a832e9706fe5d0473a776f7",
+    "gin-mp": "e89fc6683dd5a2b0dc5ce7605af6a518e7e19718648aaa68cb396b4289ab2d62",
+    "gin-spmm": "efda2c949b0777e30de8e1caa5bba4510ea11c5540c9dc772488be8b89a73e93",
+    "sage-mp": "571240a88eb76dbe90e4b3dd5b62e5084e654af2451584b71c395aa36312f543",
+}
+
+
+class TestPinnedContexts:
+    @pytest.mark.parametrize("name", sorted(PINNED_CONTEXTS))
+    def test_contexts_keep_their_bytes(self, name):
+        model, comp = name.split("-")
+        spec = spec_for(model, comp, (6, 5, 3), eps=0.375, seed=9)
+        digest = hashlib.sha256()
+        for g in _context_graphs():
+            for precision in ("f32", "f64"):
+                g_t, _, _ = cast_inputs(spec, g, np.zeros((g.num_nodes, 6)),
+                                        precision)
+                ctx = prepare(spec, g_t)
+                csr = ctx.incidence if comp == "mp" else ctx
+                arrays = [ctx.src] if comp == "mp" else []
+                for a in arrays + [csr.row_ptr, csr.col_idx, csr.values]:
+                    digest.update(a.dtype.str.encode())
+                    digest.update(repr(a.shape).encode())
+                    digest.update(a.tobytes())
+        assert digest.hexdigest() == PINNED_CONTEXTS[name]

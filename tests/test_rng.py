@@ -39,6 +39,9 @@ class TestWorkers:
 
     @pytest.fixture
     def cpus(self, monkeypatch):
+        # one block per worker is enough, so a short stream starts the pool
+        monkeypatch.setattr(rng, "_MIN_RUN", 1)
+
         def set_cpus(n):
             monkeypatch.setattr(rng, "_usable_cpus", lambda: n)
         return set_cpus
@@ -63,6 +66,13 @@ class TestWorkers:
         threads = top53_map(1, count, lambda start, k: (
             threading.current_thread(), threading.active_count()))
         assert set(threads) == {(threading.current_thread(), before)}
+
+    def test_a_short_stream_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 4)
+        before = threading.active_count()
+        threads = top53_map(1, 2 * B, lambda start, k: (
+            threading.current_thread(), threading.active_count()))
+        assert threads == [(threading.current_thread(), before)] * 2
 
     def test_the_caller_takes_the_first_run_and_threads_the_rest(self, cpus):
         cpus(rng._MAX_WORKERS)
