@@ -38,6 +38,7 @@ import numpy as np
 
 from . import bench, data, models, reference
 from .errors import (
+    CapacityError,
     ConfigError,
     ConsistencyError,
     FormatError,
@@ -261,22 +262,17 @@ def _classify_dataset(spec_str: str):
                 f"dataset: expected er:<n>:<p>:<seed>[:<f>], got {spec_str!r}"
             )
         n = _parse_int("dataset n", parts[1], minimum=1)
-        if n * (n - 1) > data.MAX_ER_PAIRS:
-            raise ConfigError(
-                f"dataset: er:{n} has {n * (n - 1)} node pairs to draw, above "
-                f"the generator's cap of {data.MAX_ER_PAIRS}"
-            )
         p = _parse_float("dataset p", parts[2])
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"dataset p must be in [0, 1], got {p}")
         seed = _parse_seed("dataset seed", parts[3])
         f = (_parse_int("dataset f", parts[4], minimum=1)
              if len(parts) == 5 else DEFAULT_SYNTHETIC_FEATURES)
-        if n * f > data.MAX_ER_PAIRS:
-            raise ConfigError(
-                f"dataset: er:{n} with {f} features has {n * f} feature values "
-                f"to draw, above the generator's cap of {data.MAX_ER_PAIRS}"
-            )
+        try:  # the generators' own caps, checked before anything is drawn
+            data.check_draw_count(n)
+            data.check_draw_count(n, f)
+        except CapacityError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
         return "er", (n, p, seed, f)
     if spec_str.lower() in _PRESETS:
         return "preset", _PRESETS[spec_str.lower()]

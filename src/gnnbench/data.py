@@ -30,15 +30,14 @@ kernel must handle single-column features without special-casing.
 from __future__ import annotations
 
 import contextlib
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import CapacityError, FormatError, ParseError
 from .graph import CooGraph
-from .rng import _top53_below, mix_key, uniform_array
+from .rng import draws_below, mix_key, uniform_array
 
 __all__ = [
     "DatasetRecord",
@@ -48,16 +47,17 @@ __all__ = [
     "gen_er_graph",
     "gen_features",
     "MAX_ER_PAIRS",
+    "check_draw_count",
 ]
 
 # Stream key context for feature generation, decorrelating it from the
 # edge stream of the same seed.
 _FEATURES_ROLE = 0x66656174  # "feat"
 
-# Most ordered pairs, and most feature values, an er: dataset spec may ask
-# the generator to draw: its time is O(n^2) whatever p is, about 2-3 ns per
-# pair on two threads, so 2^30 pairs (n = 32768, p = 0.001) took 2.2-2.5 s
-# on a 2-vCPU Intel Xeon with numpy 2.4 (3.7-3.8 s on one).
+# Most ordered pairs, and most feature values, the generators draw (see
+# check_draw_count): gen_er_graph's time is O(n^2) whatever p is, about
+# 2-3 ns per pair on two threads, so 2^30 pairs (n = 32768, p = 0.001) took
+# 2.2-2.5 s on a 2-vCPU Intel Xeon with numpy 2.4 (3.7-3.8 s on one).
 MAX_ER_PAIRS = 1 << 30
 
 # The ASCII separators 0x1c-0x1f: loadtxt strips them around a number like
@@ -168,7 +168,7 @@ def _edge_list_vectorized(path):
         return None
     src, dst = pairs.T.copy()
     return CooGraph(top + 1 if declared_nodes is None else declared_nodes,
-                    src, dst, np.ones(len(src), dtype=np.float64))
+                    src, dst)
 
 
 def _edge_list_loop(path) -> CooGraph:
@@ -216,8 +216,7 @@ def _edge_list_loop(path) -> CooGraph:
     else:
         num_nodes = 1 + max(max(src), max(dst)) if src else 0
     return CooGraph(num_nodes, np.array(src, dtype=np.int64),
-                    np.array(dst, dtype=np.int64),
-                    np.ones(len(src), dtype=np.float64))
+                    np.array(dst, dtype=np.int64))
 
 
 def load_features(path, expected_nodes: int) -> np.ndarray:
@@ -274,33 +273,38 @@ def _features_loop(path, expected_nodes: int) -> np.ndarray:
     return x
 
 
+def check_draw_count(n: int, f: int | None = None) -> None:
+    """Raise CapacityError when a generator would draw more than
+    ``MAX_ER_PAIRS`` values: ``gen_er_graph`` the n * (n - 1) node pairs
+    of ``n`` nodes, or, with ``f`` given, ``gen_features`` the n * f values
+    of an n x f feature table."""
+    count = n * (n - 1) if f is None else n * f
+    if count > MAX_ER_PAIRS:
+        what = (f"er:{n} has {count} node pairs" if f is None else
+                f"er:{n} with {f} features has {count} feature values")
+        raise CapacityError(
+            f"{what} to draw, above the generator's cap of {MAX_ER_PAIRS}")
+
+
 def gen_er_graph(n: int, p: float, seed: int) -> CooGraph:
     """Directed Erdos-Renyi graph, deterministic in (n, p, seed).
 
     Every ordered pair (u, v) with u != v gets exactly one SplitMix64 draw,
     taken in row-major pair order; the edge is included when draw < p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if n < 0:
         raise ValueError("node count must be >= 0")
-    num_pairs = n * (n - 1) if n > 1 else 0
-    if num_pairs == 0:
-        return CooGraph(n, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                        np.zeros(0, np.float64))
-    # A draw is k * 2^-53 for its top 53 bits k, and k * 2^-53 < p exactly
-    # when k < ceil(p * 2^53); both sides are exact, so the integer test
-    # keeps the same pairs as comparing the float draw with p.
-    threshold = math.ceil(p * 2.0**53)
-    src, pos = np.divmod(_top53_below(seed, num_pairs, threshold), n - 1)
+    check_draw_count(n)
+    src, pos = np.divmod(draws_below(seed, n * (n - 1), p), n - 1)
     dst = pos + (pos >= src)  # skip the diagonal within each row
-    return CooGraph(n, src, dst, np.ones(len(src), dtype=np.float64))
+    return CooGraph(n, src, dst)
 
 
 def gen_features(n: int, f: int, seed: int) -> np.ndarray:
     """Feature matrix with entries uniform in [-1, 1]; deterministic."""
     if n < 1 or f < 1:
         raise ValueError("feature matrix dimensions must be >= 1")
+    check_draw_count(n, f)
     x = uniform_array(mix_key(seed, _FEATURES_ROLE), n * f)
     x *= 2.0  # in place: the matrix is the only n * f array held
     x -= 1.0

@@ -14,7 +14,8 @@ class ParseError(FormatError):
 
 
 class CapacityError(FormatError):
-    """A dense materialization would exceed the configured node limit."""
+    """An input is too large to materialize: a dense matrix past the node
+    limit, or a synthetic dataset past the generators' draw cap."""
 
 
 class ShapeError(ValueError):

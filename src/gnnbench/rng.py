@@ -13,12 +13,12 @@ enough blocks to repay starting it. Every block is computed the same way
 whichever thread takes it, and results are joined in stream order, so the
 bytes do not depend on the thread count or on timing.
 
-One function, ``_map_runs``, computes every block up to the state before
-SplitMix64's last xor-shift, and the rest is finished where it is needed.
-Uniform doubles in [0, 1) finish every draw and take the top 53 bits of
-each 64-bit output. The Erdos-Renyi generator wants only the draws below a
-threshold, and the last xor-shift leaves a state's top 31 bits as they are,
-so it first keeps the states whose top 31 bits can still be below it (a
+One driver, ``_map_runs``, computes every block up to the state before
+SplitMix64's last xor-shift, and each of the two draw kinds finishes it its
+own way. :func:`uniform_array` finishes every draw and scales its top 53
+bits to a double in [0, 1). :func:`draws_below` wants only the positions of
+the draws below p: the last xor-shift leaves a state's top 31 bits as they
+are, so it first keeps the states whose top 31 bits can still be below p (a
 prefilter; at p = 0.0125 about 1.25% of the draws) and finishes only those.
 Each worker finishes its candidates in batches of up to one block, not
 block by block: with two workers every numpy call per block is one more
@@ -27,6 +27,7 @@ handoff of the GIL.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -113,17 +114,19 @@ def _finish(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _map_runs(seed: int, count: int, run) -> list:
     """``[run(blocks, scratch), ...]``, one per worker, in stream order.
 
-    Draws ``[0, count)`` of ``seed``'s stream are cut into blocks of at most
-    ``_BLOCK``, and contiguous runs of blocks go to up to ``_MAX_WORKERS``
-    workers, one per usable CPU and each with at least ``_MIN_RUN`` blocks:
-    the calling thread takes the first run, and a per-call pool of threads,
-    each pinned to a CPU, takes the others; one worker needs no pool.
-    ``blocks`` yields ``(start, z)`` for each block of the worker's run:
-    ``z[i]`` is draw ``start + i``'s state before SplitMix64's last
-    xor-shift (:func:`_finish` completes it), a uint64 view of a buffer the
-    next block overwrites. ``scratch`` is the worker's own uint64 buffer of
-    one block's length. ``run`` must be safe to call from several threads at
-    once; an exception it raises reaches the caller.
+    The one block driver: :func:`uniform_array` and :func:`draws_below` are
+    its two callers, each passing a ``run`` that finishes the blocks as its
+    draw kind needs. Draws ``[0, count)`` of ``seed``'s stream are cut into
+    blocks of at most ``_BLOCK``, and contiguous runs of blocks go to up to
+    ``_MAX_WORKERS`` workers, one per usable CPU and each with at least
+    ``_MIN_RUN`` blocks: the calling thread takes the first run, and a
+    per-call pool of threads, each pinned to a CPU, takes the others; one
+    worker needs no pool. ``blocks`` yields ``(start, z)`` for each block of
+    the worker's run: ``z[i]`` is draw ``start + i``'s state before
+    SplitMix64's last xor-shift (:func:`_finish` completes it), a uint64
+    view of a buffer the next block overwrites. ``scratch`` is the worker's
+    own uint64 buffer of one block's length. ``run`` must be safe to call
+    from several threads at once; an exception it raises reaches the caller.
     """
     num_blocks = -(-count // _BLOCK)
     workers = max(1, min(_MAX_WORKERS, _usable_cpus(), num_blocks // _MIN_RUN))
@@ -165,37 +168,27 @@ def _map_runs(seed: int, count: int, run) -> list:
         return [work(0), *rest]
 
 
-def top53_map(seed: int, count: int, fn) -> list:
-    """``[fn(start, k), ...]`` over draws ``[0, count)`` of ``seed``'s stream.
-
-    ``k[i]`` holds the top 53 bits (``z >> 11``) of draw ``start + i``, as
-    uint64, in blocks of at most ``_BLOCK`` draws, split across workers as
-    :func:`_map_runs` splits them; the results come in stream order.
-    ``k`` is a view of a buffer the worker's next block overwrites, so
-    ``fn`` keeps what it needs, and it must be safe to call from several
-    threads at once. An exception raised by ``fn`` reaches the caller.
-    """
-    def run(blocks, scratch):
-        return [fn(start, _finish(z, scratch[:len(z)])) for start, z in blocks]
-
-    return [result for results in _map_runs(seed, count, run)
-            for result in results]
-
-
-def _top53_below(seed: int, count: int, threshold: int) -> np.ndarray:
+def draws_below(seed: int, count: int, p: float) -> np.ndarray:
     """Ascending int64 positions of the draws in ``[0, count)`` of
-    ``seed``'s stream whose top 53 bits are below ``threshold``.
+    ``seed``'s stream that are below ``p``, as :func:`uniform_array` gives
+    the draws.
 
     The last xor-shift moves bits only down, by 31, so a state before it
-    has the draw's top 31 bits, and a draw below ``threshold`` has that
-    state at most ``bound``. Each block keeps only those candidates, about
-    ``threshold * 2^-53 + 2^-31`` of its draws, and each worker finishes
-    them in batches of at most one block: finishing inside each block
-    measured no faster, for the GIL handoffs its extra numpy calls cost.
+    has the draw's top 31 bits, and a draw below ``p`` has that state at
+    most ``bound``. Each block keeps only those candidates, about
+    ``p + 2^-31`` of its draws, and each worker finishes them in batches of
+    at most one block: finishing inside each block measured no faster, for
+    the GIL handoffs its extra numpy calls cost.
     """
-    if threshold <= 0 or count == 0:  # nothing to keep; no bound for 0
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
+    # A draw is k * 2^-53 for its top 53 bits k, and k * 2^-53 < p exactly
+    # when k < ceil(p * 2^53); both sides are exact, so the integer test
+    # keeps the same draws as comparing the float draw with p.
+    threshold = math.ceil(p * 2.0**53)
+    if threshold == 0 or count == 0:  # nothing to keep; no bound for 0
         return np.zeros(0, dtype=np.int64)
-    # 2^64 - 1 when threshold is 2^53, so every draw is a candidate
+    # 2^64 - 1 when p is 1, so every draw is a candidate
     bound = np.uint64(((((threshold - 1) >> 22) + 1) << 33) - 1)
     below = np.uint64(threshold)
 
@@ -232,11 +225,16 @@ def uniform_array(seed: int, count: int) -> np.ndarray:
     Bit-identical to ``count`` sequential draws from ``seed``.
     """
     out = np.empty(count, dtype=np.float64)
-    # k < 2^53 converts exactly, and the power-of-two scale is exact; each
-    # block writes its own slice of ``out``
-    top53_map(seed, count, lambda start, k: np.multiply(
-        k, 2.0**-53, out=out[start:start + len(k)]))
+
+    def run(blocks, scratch):
+        # the top 53 bits k < 2^53 convert exactly, and the power-of-two
+        # scale is exact; each block writes its own slice of ``out``
+        for start, z in blocks:
+            np.multiply(_finish(z, scratch[:len(z)]), 2.0**-53,
+                        out=out[start:start + len(z)])
+
+    _map_runs(seed, count, run)
     return out
 
 
-__all__ = ["mix_key", "top53_map", "uniform_array", "MASK64"]
+__all__ = ["mix_key", "uniform_array", "draws_below", "MASK64"]

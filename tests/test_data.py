@@ -19,7 +19,7 @@ from gnnbench.data import (
     load_features,
     registry,
 )
-from gnnbench.errors import FormatError, ParseError
+from gnnbench.errors import CapacityError, FormatError, ParseError
 from gnnbench.rng import GOLDEN, mix_key
 
 
@@ -166,10 +166,11 @@ class TestGenErGraph:
         assert g.weights.tolist() == [1.0] * len(src)
 
     def test_memory_does_not_grow_with_pair_count(self):
-        # the whole-array formula held about 33 B per ordered pair (74 MB)
+        # the whole-array formula held about 33 B per ordered pair (74 MB);
+        # p > 0, so every block is drawn and filtered (about 200 edges kept)
         tracemalloc.start()
         try:
-            gen_er_graph(1500, 0.0, 1)
+            gen_er_graph(1500, 1e-4, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -352,7 +353,7 @@ class TestErPrefilter:
         block = rng._BLOCK * 8
         tracemalloc.start()
         try:
-            kept = rng._top53_below(3, 40 * rng._BLOCK, 2**52)
+            kept = rng.draws_below(3, 40 * rng._BLOCK, 0.5)  # T = 2^52
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,6 +362,30 @@ class TestErPrefilter:
         # state and a position each), the batch joined, and a mask, beside
         # the shared step table
         assert peak < 2 * kept.nbytes + workers * 7 * block + block
+
+
+class TestDrawCap:
+    """The generators refuse a draw count above the cap before drawing."""
+
+    @pytest.mark.parametrize("generate,message", [
+        (lambda: gen_er_graph(2**15 + 1, 0.1, 0), "node pairs to draw"),
+        (lambda: gen_features(2**15, 2**15 + 1, 0), "feature values to draw"),
+    ])
+    def test_above_the_cap_raises_before_drawing(self, generate, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"{message}, above the "
+                               f"generator's cap of {data.MAX_ER_PAIRS}$"):
+                generate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_at_the_cap_passes(self):
+        data.check_draw_count(2**15)
+        data.check_draw_count(2**15, 2**15)
+        data.check_draw_count(2**15 + 1, 2**15 - 1)  # features need no pairs
 
 
 class TestRegistry:

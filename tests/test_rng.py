@@ -8,7 +8,7 @@ import pytest
 from oracles import SplitMix64
 
 from gnnbench import rng
-from gnnbench.rng import top53_map, uniform_array
+from gnnbench.rng import draws_below, uniform_array
 
 B = rng._BLOCK
 WORKERS = range(1, rng._MAX_WORKERS + 1)
@@ -35,7 +35,10 @@ def test_uniform_array_is_the_sequential_stream(seed, count):
 
 
 class TestWorkers:
-    """Splitting the stream across threads never changes what it yields."""
+    """Splitting the stream across threads never changes what it yields.
+
+    ``rng._map_runs`` is driven directly, with a ``run`` per test that
+    reports on the worker that calls it."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -56,35 +59,41 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", WORKERS)
     def test_results_come_in_stream_order(self, cpus, workers):
         cpus(workers)
-        starts = top53_map(3, 5 * B + 7, lambda start, k: (start, len(k)))
-        assert starts == [(i * B, B) for i in range(5)] + [(5 * B, 7)]
+        runs = rng._map_runs(3, 5 * B + 7, lambda blocks, scratch: [
+            (start, len(z)) for start, z in blocks])
+        assert len(runs) == workers
+        assert sum(runs, []) == [(i * B, B) for i in range(5)] + [(5 * B, 7)]
 
     @pytest.mark.parametrize("cpus_usable,count", [(1, 5 * B + 7), (4, B), (4, 1)])
     def test_one_worker_runs_inline(self, cpus, cpus_usable, count):
         cpus(cpus_usable)
         before = threading.active_count()
-        threads = top53_map(1, count, lambda start, k: (
+        threads = rng._map_runs(1, count, lambda blocks, scratch: (
             threading.current_thread(), threading.active_count()))
-        assert set(threads) == {(threading.current_thread(), before)}
+        assert threads == [(threading.current_thread(), before)]
 
     def test_a_short_stream_runs_inline(self, monkeypatch):
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 4)
         before = threading.active_count()
-        threads = top53_map(1, 2 * B, lambda start, k: (
-            threading.current_thread(), threading.active_count()))
-        assert threads == [(threading.current_thread(), before)] * 2
+        threads = rng._map_runs(1, 2 * B, lambda blocks, scratch: (
+            threading.current_thread(), threading.active_count(),
+            len(list(blocks))))
+        assert threads == [(threading.current_thread(), before, 2)]
 
     def test_the_caller_takes_the_first_run_and_threads_the_rest(self, cpus):
         cpus(rng._MAX_WORKERS)
-        threads = top53_map(1, 5 * B + 7, lambda start, k: threading.current_thread())
+        runs = rng._map_runs(1, 5 * B + 7, lambda blocks, scratch: (
+            threading.current_thread(), len(list(blocks))))
+        threads, sizes = zip(*runs)
         # six blocks over four workers: runs of 1, 2, 1 and 2 blocks
+        assert sizes == (1, 2, 1, 2)
         assert threads[0] is threading.current_thread()
         assert threading.current_thread() not in threads[1:]
 
     def test_no_thread_outlives_a_call(self, cpus):
         cpus(rng._MAX_WORKERS)
         before = threading.active_count()
-        top53_map(1, 5 * B + 7, lambda start, k: None)
+        rng._map_runs(1, 5 * B + 7, lambda blocks, scratch: None)
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -92,7 +101,8 @@ class TestWorkers:
     def test_pool_threads_are_pinned_and_the_caller_is_not(self, cpus):
         cpus(rng._MAX_WORKERS)
         usable = os.sched_getaffinity(0)
-        pinned = top53_map(1, 5 * B + 7, lambda start, k: os.sched_getaffinity(0))
+        pinned = rng._map_runs(1, 5 * B + 7, lambda blocks, scratch:
+                               os.sched_getaffinity(0))
         assert pinned[0] == usable
         assert all(len(p) == 1 and p <= usable for p in pinned[1:])
         assert os.sched_getaffinity(0) == usable
@@ -110,11 +120,40 @@ class TestWorkers:
         cpus(rng._MAX_WORKERS)
         before = threading.active_count()
 
-        def fail_at(start, k):
-            if start == failing:
-                raise ValueError(f"block at {start}")
-            return start
+        def fail_at(blocks, scratch):
+            for start, z in blocks:
+                if start == failing:
+                    raise ValueError(f"block at {start}")
 
         with pytest.raises(ValueError, match=f"block at {failing}$"):
-            top53_map(1, 5 * B + 7, fail_at)
+            rng._map_runs(1, 5 * B + 7, fail_at)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, rng._MAX_WORKERS])
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 5 * B + 7])
+    @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 2.0**-53, 0.0125, 0.5,
+                                   1 - 2.0**-53, 1.0])
+    def test_both_draw_kinds_agree(self, cpus, workers, count, p):
+        cpus(workers)
+        got = draws_below(2**64 - 1, count, p)
+        want = np.flatnonzero(uniform_array(2**64 - 1, count) < p)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, rng._MAX_WORKERS])
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 5 * B + 7])
+    def test_both_draw_kinds_agree_when_p_is_a_draw(self, cpus, workers, count):
+        cpus(workers)
+        u = uniform_array(2**64 - 1, count)
+        i = count * 7 // 9  # past the first block when there are two or more
+        got = draws_below(2**64 - 1, count, float(u[i]))
+        assert i not in got and i in draws_below(2**64 - 1, count,
+                                                 float(np.nextafter(u[i], 1.0)))
+        assert got.tobytes() == np.flatnonzero(u < u[i]).astype(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 5])
+@pytest.mark.parametrize("p", [-1e-300, 1 + 2.0**-52, float("nan")])
+def test_draws_below_rejects_p_outside_the_unit_interval(count, p):
+    with pytest.raises(ValueError, match=r"probability must be in \[0, 1\]"):
+        draws_below(1, count, p)
