@@ -14,14 +14,21 @@ and is not part of any row.
 
 Timing is never part of any correctness contract: counter arithmetic and
 share normalization are asserted, wall times are merely reported. Numerical
-outputs of the repeats are audited for bitwise equality as part of the run;
-a mismatch raises :class:`ConsistencyError`.
+outputs and kernel profiles of the repeats are audited against the first
+repeat's as the run goes; a mismatch raises :class:`ConsistencyError`.
+
+A :class:`RunReport` holds only what was measured: the configuration, the
+per-kernel rows and ``end_to_end_ns``. Its ``time_share`` and ``op_share``
+are derived from those rows whenever they are read, so a report cannot
+disagree with itself, and a parsed report reads its shares from its rows,
+whatever shares the document held.
 
 Report wire formats:
 
 - JSON object with top-level keys ``{version, spec, dataset, repeats,
   end_to_end_ns, kernels, time_share, op_share}``, where ``kernels`` is a
   list of ``{name, calls, mean_ns, fp_ops, int_ops, loads, stores}``.
+  ``time_share`` maps every row to its percentage of ``end_to_end_ns``;
   ``op_share`` maps each kernel with a nonzero operation count to its
   ``{fp, int, load, store}`` percentages.
 - CSV with header ``kernel,calls,mean_ns,time_share_pct,fp_ops,int_ops,
@@ -34,7 +41,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -80,16 +87,37 @@ class KernelStats:
     counters: OpCounters
 
 
+_COUNTER_FIELDS = tuple(f.name for f in fields(OpCounters))
+
+# op_share's short name of each counter, in _COUNTER_FIELDS order.
+_SHARE_NAMES = ("fp", "int", "load", "store")
+
+
 @dataclass
 class RunReport:
+    """What one run measured; its shares are derived from ``per_kernel``."""
+
     version: str
     spec: dict
     dataset: dict
     repeats: int
     end_to_end_ns: float
     per_kernel: list
-    time_share: dict
-    op_share: dict
+
+    @property
+    def time_share(self) -> dict:
+        """Each row's percentage of ``end_to_end_ns``."""
+        denom = self.end_to_end_ns or 1  # perf_counter_ns granularity guard
+        return {s.kernel: 100.0 * s.wall_time_ns / denom for s in self.per_kernel}
+
+    @property
+    def op_share(self) -> dict:
+        """Each row's counter mix in percent, for rows that count any operation."""
+        return {
+            s.kernel: {name: 100.0 * count / s.counters.total for name, count
+                       in zip(_SHARE_NAMES, astuple(s.counters), strict=True)}
+            for s in self.per_kernel if s.counters.total
+        }
 
 
 # Closed-form counters of one call, from the same arguments as the kernel.
@@ -115,9 +143,7 @@ class Instrumentation:
     """
 
     def __init__(self):
-        self._calls: dict = {}
-        self._ns: dict = {}
-        self._counters: dict = {}
+        self._stats: dict = {}  # name -> (calls, ns, counters)
         for name, counters_fn in _COUNTERS.items():
             setattr(self, name,
                     self._timed(name, getattr(kernels, name), counters_fn))
@@ -127,19 +153,16 @@ class Instrumentation:
             t0 = time.perf_counter_ns()
             out = kernel(*args, **kwargs)
             dt = time.perf_counter_ns() - t0
-            self._calls[name] = self._calls.get(name, 0) + 1
-            self._ns[name] = self._ns.get(name, 0) + dt
-            self._counters[name] = (self._counters.get(name, OpCounters())
-                                    + counters_fn(*args, **kwargs))
+            calls, ns, counters = self._stats.get(name, (0, 0, OpCounters()))
+            self._stats[name] = (calls + 1, ns + dt,
+                                 counters + counters_fn(*args, **kwargs))
             return out
 
         return call
 
     def snapshot(self) -> dict:
-        return {
-            name: (self._calls[name], self._ns[name], self._counters[name])
-            for name in self._calls
-        }
+        """``{name: (calls, ns, counters)}`` of the kernels called so far."""
+        return dict(self._stats)
 
 
 def _synthesize_record(g: CooGraph, x: np.ndarray) -> DatasetRecord:
@@ -188,73 +211,33 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
     for _ in range(warmup):
         models.forward(spec, params, g, x, ctx=ctx)
 
-    repeat_ns = []
-    snapshots = []
-    baseline = None
+    total_ns = 0
+    kernel_ns: dict = {}
     for r in range(repeats):
         instr = Instrumentation()
         t0 = time.perf_counter_ns()
         out = models.forward(spec, params, g, x, instr=instr, ctx=ctx)
-        repeat_ns.append(time.perf_counter_ns() - t0)
-        snapshots.append(instr.snapshot())
+        total_ns += time.perf_counter_ns() - t0
+        snap = instr.snapshot()
         blob = (out.shape, out.dtype.str, out.tobytes())
-        if baseline is None:
-            baseline = blob
+        profile = {k: (calls, counters) for k, (calls, _, counters) in snap.items()}
+        if r == 0:
+            baseline, first = blob, profile
         elif blob != baseline:
+            raise ConsistencyError(f"repeat {r} produced numerically different output")
+        elif profile != first:
             raise ConsistencyError(
-                f"repeat {r} produced numerically different output"
-            )
+                f"repeat {r} produced a different kernel call profile")
+        for k, (_, ns, _) in snap.items():
+            kernel_ns[k] = kernel_ns.get(k, 0) + ns
 
-    first = snapshots[0]
-    for r, snap in enumerate(snapshots[1:], start=1):
-        same = set(snap) == set(first) and all(
-            snap[k][0] == first[k][0] and snap[k][2] == first[k][2]
-            for k in first
-        )
-        if not same:
-            raise ConsistencyError(
-                f"repeat {r} produced a different kernel call profile"
-            )
-
-    names = [k for k in KERNEL_ORDER if k in first]
-    kernel_total_ns = {k: sum(s[k][1] for s in snapshots) for k in names}
-    total_ns = sum(repeat_ns)
-    other_ns = total_ns - sum(kernel_total_ns.values())
-
-    per_kernel = [
-        KernelStats(k, first[k][0], kernel_total_ns[k] / repeats, first[k][2])
-        for k in names
-    ]
+    per_kernel = [KernelStats(k, first[k][0], kernel_ns[k] / repeats, first[k][1])
+                  for k in KERNEL_ORDER if k in first]
+    other_ns = total_ns - sum(kernel_ns.values())
     per_kernel.append(KernelStats(OTHER, 1, other_ns / repeats, OpCounters()))
 
-    denom = total_ns or 1  # perf_counter_ns granularity guard
-    time_share = {k: 100.0 * kernel_total_ns[k] / denom for k in names}
-    time_share[OTHER] = 100.0 * other_ns / denom
-
-    op_share = {}
-    for stats in per_kernel:
-        total_ops = stats.counters.total
-        if total_ops == 0:
-            continue
-        op_share[stats.kernel] = {
-            "fp": 100.0 * stats.counters.fp_ops / total_ops,
-            "int": 100.0 * stats.counters.int_ops / total_ops,
-            "load": 100.0 * stats.counters.loads / total_ops,
-            "store": 100.0 * stats.counters.stores / total_ops,
-        }
-
-    spec_summary = spec.summary()
-    spec_summary["precision"] = precision
-    return RunReport(
-        version=REPORT_VERSION,
-        spec=spec_summary,
-        dataset=record.summary(),
-        repeats=repeats,
-        end_to_end_ns=total_ns / repeats,
-        per_kernel=per_kernel,
-        time_share=time_share,
-        op_share=op_share,
-    )
+    return RunReport(REPORT_VERSION, {**spec.summary(), "precision": precision},
+                     record.summary(), repeats, total_ns / repeats, per_kernel)
 
 
 def report_to_json(report: RunReport) -> str:
@@ -264,15 +247,8 @@ def report_to_json(report: RunReport) -> str:
         "dataset": report.dataset,
         "repeats": report.repeats,
         "end_to_end_ns": report.end_to_end_ns,
-        "kernels": [
-            {
-                "name": s.kernel,
-                "calls": s.calls,
-                "mean_ns": s.wall_time_ns,
-                **s.counters.as_dict(),
-            }
-            for s in report.per_kernel
-        ],
+        "kernels": [{"name": s.kernel, "calls": s.calls, "mean_ns": s.wall_time_ns,
+                     **asdict(s.counters)} for s in report.per_kernel],
         "time_share": report.time_share,
         "op_share": report.op_share,
     }
@@ -284,8 +260,8 @@ _NUMBER = (int, float)
 _REPORT_KEYS = {"version": str, "spec": dict, "dataset": dict, "repeats": int,
                 "end_to_end_ns": _NUMBER, "kernels": list, "time_share": dict,
                 "op_share": dict}
-_KERNEL_KEYS = {"name": str, "calls": int, "mean_ns": _NUMBER, "fp_ops": int,
-                "int_ops": int, "loads": int, "stores": int}
+_KERNEL_KEYS = {"name": str, "calls": int, "mean_ns": _NUMBER,
+                **dict.fromkeys(_COUNTER_FIELDS, int)}
 
 
 def _checked(where: str, obj, keys: dict) -> dict:
@@ -300,7 +276,10 @@ def _checked(where: str, obj, keys: dict) -> dict:
 
 
 def parse_report_json(text: str) -> RunReport:
-    """The report a JSON document holds; FormatError names what is malformed."""
+    """The report a JSON document holds; FormatError names what is malformed.
+
+    The document's ``time_share`` and ``op_share`` must be objects, but the
+    report derives its shares from the kernel rows, not from them."""
     try:
         doc = _checked("report", json.loads(text), _REPORT_KEYS)
     except json.JSONDecodeError as exc:
@@ -310,23 +289,20 @@ def parse_report_json(text: str) -> RunReport:
         k = _checked(f"report kernels[{i}]", k, _KERNEL_KEYS)
         per_kernel.append(KernelStats(
             k["name"], k["calls"], k["mean_ns"],
-            OpCounters(k["fp_ops"], k["int_ops"], k["loads"], k["stores"])))
-    return RunReport(per_kernel=per_kernel, **{
-        key: doc[key] for key in _REPORT_KEYS if key != "kernels"})
+            OpCounters(**{f: k[f] for f in _COUNTER_FIELDS})))
+    return RunReport(doc["version"], doc["spec"], doc["dataset"], doc["repeats"],
+                     doc["end_to_end_ns"], per_kernel)
 
 
 def report_to_csv(report: RunReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kernel", "calls", "mean_ns", "time_share_pct",
-                     "fp_ops", "int_ops", "loads", "stores"])
+                     *_COUNTER_FIELDS])
+    time_share = report.time_share
     for s in report.per_kernel:
-        writer.writerow([
-            s.kernel, s.calls, s.wall_time_ns,
-            report.time_share.get(s.kernel, 0.0),
-            s.counters.fp_ops, s.counters.int_ops, s.counters.loads,
-            s.counters.stores,
-        ])
+        writer.writerow([s.kernel, s.calls, s.wall_time_ns, time_share[s.kernel],
+                         *astuple(s.counters)])
     return buf.getvalue()
 
 

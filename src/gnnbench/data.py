@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class DatasetRecord:
     source: str  # "file" or "synthetic"
 
     def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "short_form": self.short_form,
-            "num_nodes": self.num_nodes,
-            "feature_length": self.feature_length,
-            "num_edges": self.num_edges,
-            "source": self.source,
-        }
+        return asdict(self)
 
 
 _REGISTRY = (

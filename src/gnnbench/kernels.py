@@ -104,14 +104,6 @@ class OpCounters:
     def total(self) -> int:
         return self.fp_ops + self.int_ops + self.loads + self.stores
 
-    def as_dict(self) -> dict:
-        return {
-            "fp_ops": self.fp_ops,
-            "int_ops": self.int_ops,
-            "loads": self.loads,
-            "stores": self.stores,
-        }
-
 
 def index_select_counters(e: int, f: int) -> OpCounters:
     return OpCounters(fp_ops=0, int_ops=e * (f + 1), loads=e * (f + 1), stores=e * f)

@@ -276,6 +276,61 @@ class TestReportSerialization:
         assert len(lines) == len(report.per_kernel) + 1
 
 
+def rows_time_share(doc):
+    return {k["name"]: 100 * k["mean_ns"] / doc["end_to_end_ns"]
+            for k in doc["kernels"]}
+
+
+def rows_op_share(doc):
+    shares = {}
+    for k in doc["kernels"]:
+        total = k["fp_ops"] + k["int_ops"] + k["loads"] + k["stores"]
+        if total:
+            shares[k["name"]] = {"fp": 100 * k["fp_ops"] / total,
+                                 "int": 100 * k["int_ops"] / total,
+                                 "load": 100 * k["loads"] / total,
+                                 "store": 100 * k["stores"] / total}
+    return shares
+
+
+class TestReportConsistency:
+    """A report's shares are its own rows' arithmetic, exactly."""
+
+    @pytest.fixture(scope="class", params=[1, 10], ids=["repeats-1", "repeats-10"])
+    def report(self, request):
+        g = gen_er_graph(48, 0.15, 4)
+        x = gen_features(48, 6, 4)
+        return instrumented_run(make_spec(dims=(6, 8, 8)), g, x,
+                                repeats=request.param)
+
+    def test_json_shares_are_the_rows(self, report):
+        doc = json.loads(report_to_json(report))
+        assert doc["time_share"] == rows_time_share(doc)
+        assert doc["op_share"] == rows_op_share(doc)
+        assert "other" in doc["time_share"] and "other" not in doc["op_share"]
+
+    def test_parsed_shares_are_the_rows(self, report):
+        doc = json.loads(report_to_json(report))
+        parsed = parse_report_json(json.dumps(doc))
+        assert parsed.time_share == rows_time_share(doc)
+        assert parsed.op_share == rows_op_share(doc)
+
+    def test_csv_time_share_is_the_json_time_share(self, report):
+        doc = json.loads(report_to_json(report))
+        rows = report_to_csv(report).strip().split("\n")[1:]
+        assert {r.split(",")[0]: float(r.split(",")[3]) for r in rows} == \
+            doc["time_share"]
+
+    def test_edited_shares_read_back_from_the_rows(self, report):
+        doc = json.loads(report_to_json(report))
+        edited = {**doc, "time_share": {k: 0.0 for k in doc["time_share"]},
+                  "op_share": {}}
+        parsed = parse_report_json(json.dumps(edited))
+        assert parsed.time_share == doc["time_share"]
+        assert parsed.op_share == doc["op_share"]
+        assert json.loads(report_to_json(parsed)) == doc
+
+
 class TestDatasetSummary:
     def test_custom_record_synthesized(self, small_run):
         _, _, _, report = small_run

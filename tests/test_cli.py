@@ -237,6 +237,16 @@ class TestRunCommand:
         assert doc["spec"]["dims"][0] == 5
 
 
+def overflow_warnings_ignored(test):
+    """Ignore, by message, the warnings an overflowing forward and dense
+    reference raise; one from the comparison itself (such as "invalid value
+    encountered in subtract") still fails the test."""
+    for message in ("overflow encountered in add", "overflow encountered in matmul",
+                    "invalid value encountered in matmul"):
+        test = pytest.mark.filterwarnings(f"ignore:{message}:RuntimeWarning")(test)
+    return test
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
     def test_passes_for_all_models(self, model, capsys):
@@ -294,6 +304,46 @@ class TestCheckCommand:
         assert cli.main(self.large_dataset(tmp_path)) == 4
         out = capsys.readouterr().out
         assert "PASS cross-model" in out and "FAIL dense-reference" in out
+
+    def overflowing_dataset(self, tmp_path):
+        # GIN's first sum overflows: every route gives [[-inf, nan], ...]
+        edges = tmp_path / "e.txt"
+        edges.write_text("%nodes 3\n0 1\n1 2\n2 0\n")
+        feats = tmp_path / "f.csv"
+        feats.write_text("1e308,1e308\n" * 3)
+        return ["check", "--dataset", f"{edges},{feats}", "--model", "gin",
+                "--activation", "identity", "--layers", "1", "--hidden", "2"]
+
+    @overflow_warnings_ignored
+    def test_equal_non_finite_outputs_pass(self, tmp_path, capsys):
+        assert cli.main(self.overflowing_dataset(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.count("max abs diff 0.000e+00") == 2
+        assert out.count("6 of 6 output elements non-finite") == 2
+
+    @overflow_warnings_ignored
+    def test_non_finite_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        dense_forward = reference.dense_forward
+
+        def finite_corner(*args):
+            ref = dense_forward(*args)
+            assert ref[0, 0] == -np.inf
+            ref[0, 0] = 0.0
+            return ref
+
+        monkeypatch.setattr(reference, "dense_forward", finite_corner)
+        assert cli.main(self.overflowing_dataset(tmp_path)) == 4
+        out = capsys.readouterr().out
+        assert "PASS cross-model" in out
+        assert "FAIL dense-reference: max abs diff inf" in out
+
+    def test_dense_reference_skipped_past_the_limit(self, capsys):
+        assert cli.main(["check", "--dataset", "er:4097:0:1", "--model", "gin"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert ("SKIP dense-reference: dense materialization of 4097 nodes "
+                "exceeds limit 4096\n") in out
 
 
 class TestDatasetsCommand:
