@@ -20,6 +20,12 @@ its ``#``. The file is named by ``--config`` or the ``GSUITE_CONFIG``
 environment variable. Validation is fail-fast: nothing is computed until
 the whole configuration is resolved and checked.
 
+``--dataset`` is classified in one place, ``_dataset_loader``, which checks
+the spec and returns the zero-argument loader of its kind (an ``er:``
+generator, a file pair's reader, or a registry preset's, which fails with
+a data error); resolving the configuration only classifies, and
+:func:`resolve_dataset` calls the loader.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 4 internal consistency (determinism or equivalence) failure.
 """
@@ -245,20 +251,23 @@ def _resolve_config(args: argparse.Namespace,
     cfg = CliConfig(**resolved)
 
     models.pipeline_for(models.Model(cfg.model), models.CompModel(cfg.comp))
-    _classify_dataset(cfg.dataset)  # fail fast on malformed dataset syntax
+    _dataset_loader(cfg.dataset)  # fail fast on malformed dataset syntax
     return cfg
 
 
 _PRESETS = {r.name.lower(): r for r in data.registry()}
 
 
-def _classify_dataset(spec_str: str):
-    """Return ("er", (n, p, seed, f)) | ("preset", record) | ("files", (a, b))."""
-    if spec_str.startswith("er:"):
-        parts = spec_str.split(":")
+def _dataset_loader(spec: str):
+    """The zero-argument loader of ``(g, x, record)`` that ``spec`` names:
+    an ``er:`` generator, a file pair's reader, or a preset's, which raises
+    FormatError. A malformed spec raises ConfigError here, and nothing is
+    read or drawn until the loader is called."""
+    if spec.startswith("er:"):
+        parts = spec.split(":")
         if len(parts) not in (4, 5):
             raise ConfigError(
-                f"dataset: expected er:<n>:<p>:<seed>[:<f>], got {spec_str!r}"
+                f"dataset: expected er:<n>:<p>:<seed>[:<f>], got {spec!r}"
             )
         n = _parse_int("dataset n", parts[1], minimum=1)
         p = _parse_float("dataset p", parts[2])
@@ -272,46 +281,44 @@ def _classify_dataset(spec_str: str):
             data.check_draw_count(n, f)
         except CapacityError as exc:
             raise ConfigError(f"dataset: {exc}") from None
-        return "er", (n, p, seed, f)
-    if spec_str.lower() in _PRESETS:
-        return "preset", _PRESETS[spec_str.lower()]
-    if "," in spec_str:
-        edges_path, _, features_path = spec_str.partition(",")
+
+        def generate():
+            g = data.gen_er_graph(n, p, seed)
+            return g, data.gen_features(n, f, seed), data.DatasetRecord(
+                spec, "ER", n, f, g.num_edges, "synthetic")
+        return generate
+    if spec.lower() in _PRESETS:
+        record = _PRESETS[spec.lower()]
+
+        def metadata_only():
+            raise FormatError(f"dataset {record.name} is registry metadata only; "
+                              "pass the local files as --dataset "
+                              "<edges_path>,<features_path>")
+        return metadata_only
+    if "," in spec:
+        edges_path, _, features_path = spec.partition(",")
         if not edges_path or not features_path:
             raise ConfigError(
-                f"dataset: expected <edges_path>,<features_path>, got {spec_str!r}"
+                f"dataset: expected <edges_path>,<features_path>, got {spec!r}"
             )
-        return "files", (edges_path, features_path)
+
+        def load():
+            g = data.load_edge_list(edges_path)
+            x = data.load_features(features_path, g.num_nodes)
+            return g, x, data.DatasetRecord(os.path.basename(edges_path), "FL",
+                                            g.num_nodes, x.shape[1],
+                                            g.num_edges, "file")
+        return load
     raise ConfigError(
-        f"dataset: {spec_str!r} is not a preset "
+        f"dataset: {spec!r} is not a preset "
         f"({'|'.join(sorted(_PRESETS))}), an er:<n>:<p>:<seed> spec, or an "
         "<edges_path>,<features_path> pair"
     )
 
 
 def resolve_dataset(cfg: CliConfig):
-    """Load or generate the configured dataset."""
-    kind, payload = _classify_dataset(cfg.dataset)
-    if kind == "er":
-        n, p, seed, f = payload
-        g = data.gen_er_graph(n, p, seed)
-        x = data.gen_features(n, f, seed)
-        record = data.DatasetRecord(cfg.dataset, "ER", n, f, g.num_edges,
-                                    "synthetic")
-        return g, x, record
-    if kind == "files":
-        edges_path, features_path = payload
-        g = data.load_edge_list(edges_path)
-        x = data.load_features(features_path, g.num_nodes)
-        name = os.path.basename(edges_path)
-        record = data.DatasetRecord(name, "FL", g.num_nodes, x.shape[1],
-                                    g.num_edges, "file")
-        return g, x, record
-    record = payload
-    raise FormatError(
-        f"dataset {record.name} is registry metadata only; pass the local "
-        "files as --dataset <edges_path>,<features_path>"
-    )
+    """Load or generate the configured dataset: ``(g, x, record)``."""
+    return _dataset_loader(cfg.dataset)()
 
 
 def build_model_spec(cfg: CliConfig, feature_length: int) -> models.ModelSpec:

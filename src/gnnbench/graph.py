@@ -27,7 +27,7 @@ concurrent executors; every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -45,8 +45,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def _frozen_floats(a) -> np.ndarray:
+    """``a`` as a read-only float array; any other dtype becomes float64."""
+    a = np.asarray(a)
+    return _frozen(a if a.dtype.kind == "f" else a.astype(np.float64))
+
+
+def _bitwise_eq(self, other) -> bool:
+    """The ``__eq__`` of both graph types: the same type, equal integer
+    fields, and arrays of the same dtype, shape and bytes, so ``-0.0`` and
+    ``+0.0`` differ and a float32 copy never equals its float64 source."""
+    if type(other) is not type(self):
+        return False
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        same = ((a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                if isinstance(a, np.ndarray) else a == b)
+        if not same:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +81,8 @@ class CooGraph:
     def __post_init__(self):
         src = _frozen(np.asarray(self.src, dtype=np.int64))
         dst = _frozen(np.asarray(self.dst, dtype=np.int64))
-        if self.weights is None:
-            weights = np.ones(len(src), dtype=np.float64)
-        else:
-            weights = np.asarray(self.weights)
-        if weights.dtype.kind != "f":
-            weights = weights.astype(np.float64)
-        weights = _frozen(weights)
+        weights = _frozen_floats(np.ones(len(src)) if self.weights is None
+                                 else self.weights)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weights", weights)
@@ -102,14 +114,7 @@ class CooGraph:
         return CooGraph(self.num_nodes, self.src, self.dst,
                         self.weights.astype(dtype))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CooGraph)
-            and self.num_nodes == other.num_nodes
-            and _bitwise_equal(self.src, other.src)
-            and _bitwise_equal(self.dst, other.dst)
-            and _bitwise_equal(self.weights, other.weights)
-        )
+    __eq__ = _bitwise_eq
 
 
 def coo(num_nodes: int, src=(), dst=(), weights=None) -> CooGraph:
@@ -140,10 +145,7 @@ class CsrGraph:
     def __post_init__(self):
         row_ptr = _frozen(np.asarray(self.row_ptr, dtype=np.int64))
         col_idx = _frozen(np.asarray(self.col_idx, dtype=np.int64))
-        values = np.asarray(self.values)
-        if values.dtype.kind != "f":
-            values = values.astype(np.float64)
-        values = _frozen(values)
+        values = _frozen_floats(self.values)
         object.__setattr__(self, "row_ptr", row_ptr)
         object.__setattr__(self, "col_idx", col_idx)
         object.__setattr__(self, "values", values)
@@ -187,15 +189,7 @@ class CsrGraph:
         return CsrGraph(self.num_rows, self.num_cols, self.row_ptr,
                         self.col_idx, self.values.astype(dtype))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CsrGraph)
-            and self.num_rows == other.num_rows
-            and self.num_cols == other.num_cols
-            and _bitwise_equal(self.row_ptr, other.row_ptr)
-            and _bitwise_equal(self.col_idx, other.col_idx)
-            and _bitwise_equal(self.values, other.values)
-        )
+    __eq__ = _bitwise_eq
 
 
 def _node_sort(nodes: np.ndarray, n: int, cols: np.ndarray,
@@ -263,23 +257,22 @@ def csr_to_coo(a: CsrGraph) -> CooGraph:
     return CooGraph(a.num_rows, a.col_idx.copy(), dst, a.values.copy())
 
 
-def coo_to_dense(g: CooGraph, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    """Materialize the [n x n] adjacency with entry [dst][src] = summed weight."""
-    if g.num_nodes > limit:
-        raise CapacityError(
-            f"dense materialization of {g.num_nodes} nodes exceeds limit {limit}"
-        )
+def coo_to_dense(g: CooGraph) -> np.ndarray:
+    """Materialize the [n x n] adjacency with entry [dst][src] = summed weight;
+    CapacityError past ``DEFAULT_DENSE_LIMIT`` nodes."""
+    if g.num_nodes > DEFAULT_DENSE_LIMIT:
+        raise CapacityError(f"dense materialization of {g.num_nodes} nodes "
+                            f"exceeds limit {DEFAULT_DENSE_LIMIT}")
     dense = np.zeros((g.num_nodes, g.num_nodes), dtype=g.weights.dtype)
     np.add.at(dense, (g.dst, g.src), g.weights)
     return dense
 
 
-def csr_to_dense(a: CsrGraph, limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+def csr_to_dense(a: CsrGraph) -> np.ndarray:
     """Materialize a CSR matrix densely (same guard as :func:`coo_to_dense`)."""
-    if max(a.num_rows, a.num_cols) > limit:
-        raise CapacityError(
-            f"dense materialization of {a.num_rows}x{a.num_cols} exceeds limit {limit}"
-        )
+    if max(a.num_rows, a.num_cols) > DEFAULT_DENSE_LIMIT:
+        raise CapacityError(f"dense materialization of {a.num_rows}x{a.num_cols} "
+                            f"exceeds limit {DEFAULT_DENSE_LIMIT}")
     dense = np.zeros((a.num_rows, a.num_cols), dtype=a.values.dtype)
     rows = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
     dense[rows, a.col_idx] = a.values

@@ -233,9 +233,8 @@ def scatter(src: np.ndarray, incidence: CsrGraph,
     out = _csr_matmul(incidence.row_ptr, incidence.col_idx, incidence.values,
                       incidence.num_cols, src)
     if op is ReduceOp.MEAN:
-        counts = np.diff(incidence.row_ptr)
-        received = counts > 0
-        out[received] /= counts[received, None].astype(out.dtype)
+        counts = np.diff(incidence.row_ptr)[:, None]
+        np.divide(out, counts.astype(out.dtype), out=out, where=counts > 0)
     return out
 
 

@@ -20,16 +20,20 @@ sparse-matrix (SpMM) model as well:
   and requesting one is rejected.
 
 Each pipeline is one table entry: the edge list its layers aggregate over
-and its layer update, which reads the activation and GIN's epsilon from the
-``ModelSpec`` (``LayerParams`` holds matrices only). :func:`forward` is the
-one way to run layers. :func:`prepare` lays the edge list out once per run,
-as its computational model reads it. Under MP that is a
-:class:`MessagePassing`: the edge sources stably sorted by destination,
-which ``index_select`` gathers by, and the destination x edge incidence
-``CsrGraph`` that ``scatter`` reduces through, its values the per-edge
-scale (GCN's normalized weights, GIN's raw weights, SAGE's units); both
-come from one compiled pass of ``graph``'s stable node sort, which carries
-the sources and weights. Under SpMM it is the canonical ``CsrGraph``.
+and its layer update, which computes a layer's output before the activation
+and reads GIN's epsilon (``LayerParams`` holds matrices only).
+:func:`forward` is the one way to run layers, and the one place that
+applies the ``ModelSpec``'s activation, after each layer's update.
+:func:`prepare` lays the edge list out once per run, as its computational
+model reads it; ``_LAYOUT`` names each computational model's ctx type and
+its builder, and :func:`forward` checks a caller's ctx against that type.
+Under MP the ctx is a :class:`MessagePassing`: the edge sources stably
+sorted by destination, which ``index_select`` gathers by, and the
+destination x edge incidence ``CsrGraph`` that ``scatter`` reduces through,
+its values the per-edge scale (GCN's normalized weights, GIN's raw weights,
+SAGE's units); both come from one compiled pass of ``graph``'s stable node
+sort, which carries the sources and weights. Under SpMM it is the canonical
+``CsrGraph``.
 
 The two computational models of the same network agree within floating
 point reordering error; that equivalence is the central correctness
@@ -223,36 +227,34 @@ def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
                     np.concatenate([g.weights, loops]))
 
 
-# ``ctx`` is the prepared edge list (see :func:`prepare`). ``k`` is the
-# kernel backend: the kernels module itself, or an object duck-typing it
-# (instrumented runs).
-def _gcn_mp_apply(ctx, x, p, spec, k):
+# Each update returns a layer's output before the activation, which
+# :func:`forward` applies. ``ctx`` is the prepared edge list (see
+# :func:`prepare`). ``k`` is the kernel backend: the kernels module itself,
+# or an object duck-typing it (instrumented runs).
+def _gcn_mp_update(ctx, x, p, epsilon, k):
     msgs = k.index_select(k.sgemm(x, p.theta), ctx.src)
-    return apply_activation(k.scatter(msgs, ctx.incidence, ReduceOp.SUM),
-                            spec.activation)
+    return k.scatter(msgs, ctx.incidence, ReduceOp.SUM)
 
 
-def _spmm_apply(ctx, x, p, spec, k):
-    return apply_activation(k.sgemm(k.spmm(ctx, x), p.theta), spec.activation)
+def _spmm_update(ctx, x, p, epsilon, k):
+    return k.sgemm(k.spmm(ctx, x), p.theta)
 
 
-def _gin_mp_apply(ctx, x, p, spec, k):
+def _gin_mp_update(ctx, x, p, epsilon, k):
     agg = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.SUM)
-    return apply_activation(k.sgemm((1.0 + spec.epsilon) * x + agg, p.theta),
-                            spec.activation)
+    return k.sgemm((1.0 + epsilon) * x + agg, p.theta)
 
 
-def _sage_mp_apply(ctx, x, p, spec, k):
+def _sage_mp_update(ctx, x, p, epsilon, k):
     mean = k.scatter(k.index_select(x, ctx.src), ctx.incidence, ReduceOp.MEAN)
-    return apply_activation(k.sgemm(x, p.w1) + k.sgemm(mean, p.w2),
-                            spec.activation)
+    return k.sgemm(x, p.w1) + k.sgemm(mean, p.w2)
 
 
 class Pipeline(NamedTuple):
     """How one (model, computational model) pair is built and run."""
 
     edges: Callable    # (g, epsilon) -> the CooGraph the layers aggregate over
-    apply: Callable    # (ctx, x, layer params, spec, kernels) -> x'
+    update: Callable   # (ctx, x, layer params, epsilon, kernels) -> x' unactivated
     weights: tuple     # (LayerParams field, weight stream role) per matrix
 
 
@@ -262,12 +264,12 @@ _SELF_AND_NEIGHBOR = (("w1", 1), ("w2", 2))
 
 PIPELINES = {
     (Model.GCN, CompModel.MP): Pipeline(lambda g, eps: normalized_edges(g),
-                                        _gcn_mp_apply, _THETA),
+                                        _gcn_mp_update, _THETA),
     (Model.GCN, CompModel.SPMM): Pipeline(lambda g, eps: normalized_edges(g),
-                                          _spmm_apply, _THETA),
-    (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_apply, _THETA),
-    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_apply, _THETA),
-    (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_apply,
+                                          _spmm_update, _THETA),
+    (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_update, _THETA),
+    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_update, _THETA),
+    (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_update,
                                          _SELF_AND_NEIGHBOR),
 }
 
@@ -278,6 +280,11 @@ class MessagePassing(NamedTuple):
     src: np.ndarray       # the source node of each edge, in that order
     incidence: CsrGraph   # destination x edge; values are the edge weights
 
+    @property
+    def num_rows(self) -> int:
+        """The node count: one incidence row per destination."""
+        return self.incidence.num_rows
+
 
 def _message_passing(g: CooGraph) -> MessagePassing:
     n, e = g.num_nodes, g.num_edges
@@ -287,10 +294,12 @@ def _message_passing(g: CooGraph) -> MessagePassing:
         n, e, row_ptr, np.arange(e, dtype=np.int64), weights))
 
 
-# How each computational model lays out a pipeline's edges: MP gathers
-# messages in destination order and reduces them through the destination x
-# edge incidence; SpMM multiplies by the edges' canonical CSR.
-_LAYOUT = {CompModel.MP: _message_passing, CompModel.SPMM: coo_to_csr}
+# How each computational model lays out a pipeline's edges, as (ctx type,
+# builder): MP gathers messages in destination order and reduces them
+# through the destination x edge incidence; SpMM multiplies by the edges'
+# canonical CSR.
+_LAYOUT = {CompModel.MP: (MessagePassing, _message_passing),
+           CompModel.SPMM: (CsrGraph, coo_to_csr)}
 
 
 def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
@@ -308,8 +317,8 @@ def prepare(spec: ModelSpec, g: CooGraph) -> MessagePassing | CsrGraph:
     """The pipeline's edges in its computational model's layout: a
     :class:`MessagePassing` under MP, the canonical ``CsrGraph`` under
     SpMM."""
-    edges = PIPELINES[spec.model, spec.comp_model].edges(g, spec.epsilon)
-    return _LAYOUT[spec.comp_model](edges)
+    _, build = _LAYOUT[spec.comp_model]
+    return build(PIPELINES[spec.model, spec.comp_model].edges(g, spec.epsilon))
 
 
 def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]):
@@ -329,14 +338,12 @@ def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]
 
 
 def _check_ctx(spec: ModelSpec, g: CooGraph, ctx):
-    mp = spec.comp_model is CompModel.MP
-    want = MessagePassing if mp else CsrGraph
+    want, _ = _LAYOUT[spec.comp_model]
     if not isinstance(ctx, want):
         raise ConfigError(f"a {spec.comp_model.value} pipeline runs on a "
                           f"{want.__name__} ctx, got {type(ctx).__name__}")
-    rows = (ctx.incidence if mp else ctx).num_rows
-    if rows != g.num_nodes:
-        raise ShapeError(f"ctx has {rows} rows for {g.num_nodes} nodes")
+    if ctx.num_rows != g.num_nodes:
+        raise ShapeError(f"ctx has {ctx.num_rows} rows for {g.num_nodes} nodes")
 
 
 def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
@@ -369,5 +376,6 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
     k = kernels if instr is None else instr
     h = x
     for p in params:
-        h = pipeline.apply(ctx, h, p, spec, k)
+        h = apply_activation(pipeline.update(ctx, h, p, spec.epsilon, k),
+                             spec.activation)
     return h

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import re
 
@@ -155,6 +158,53 @@ class TestParseConfig:
             cli.parse_config(["run", "--dataset", "er:abc:0.1:2"])
         with pytest.raises(ConfigError):
             cli.parse_config(["run", "--dataset", "nosuchset"])
+
+
+DATA_LOADERS = ("gen_er_graph", "gen_features", "load_edge_list", "load_features")
+
+
+def _patch_loaders(monkeypatch, wrap):
+    for name in DATA_LOADERS:
+        monkeypatch.setattr(data, name, wrap(name, getattr(data, name)))
+
+
+class TestDatasetKinds:
+    @pytest.mark.parametrize("dataset,needs", [
+        ("er:8:0.3:1:3", ["gen_er_graph", "gen_features"]),
+        ("{edges},{features}", ["load_edge_list", "load_features"]),
+        ("cora", []),
+    ], ids=["er", "files", "preset"])
+    def test_classifying_computes_nothing(self, dataset, needs, tmp_path,
+                                          monkeypatch):
+        def refuse(name, real):
+            def call(*args):
+                raise AssertionError(f"parse_config called data.{name}")
+            return call
+
+        _patch_loaders(monkeypatch, refuse)
+        edges, features = tmp_path / "edges.txt", tmp_path / "x.csv"
+        # the files do not exist yet: parsing reads neither
+        cfg = cli.parse_config(["run", "--dataset",
+                                dataset.format(edges=edges, features=features)])
+        edges.write_text("0 1\n1 2\n")
+        features.write_text("0.5\n1.5\n2.5\n")
+        calls = []
+
+        def count(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        monkeypatch.undo()
+        _patch_loaders(monkeypatch, count)
+        if needs:
+            g, x, record = cli.resolve_dataset(cfg)
+            assert (record.num_nodes, record.feature_length) == x.shape
+        else:
+            with pytest.raises(FormatError, match="metadata only"):
+                cli.resolve_dataset(cfg)
+        assert calls == needs
 
 
 class TestRunCommand:
@@ -344,6 +394,44 @@ class TestCheckCommand:
         assert "FAIL" not in out
         assert ("SKIP dense-reference: dense materialization of 4097 nodes "
                 "exceeds limit 4096\n") in out
+
+
+# SHA-256 of each pipeline's `gnnbench run` report, JSON then CSV, at f64
+# on er:300:0.05:9:8, with the wall-clock fields dropped; every other byte
+# is reproducible, so any change to it shows here.
+PINNED_REPORTS = {
+    "gcn-mp": "dfa177d0b095fb51b639d7b2170781c32ef4abd103d8cfb5bc6c3b700f3cfbf6",
+    "gcn-spmm": "07ffd8e4a6144f30ca450db11b0a1ef9413c0bbb955f301c50f7141082d92be5",
+    "gin-mp": "e09a22eb80aed625dcd82c2e2a830e894679b9af531f2e96aabd31b499083da1",
+    "gin-spmm": "65b3a5b2fb7920d133c8c7b61e3a0ab0f90f8d9f7fbb94483013b861474eee53",
+    "sage-mp": "5cf1213676b90e505d05c9c65095910dc53a3b58fa4c4a6cec7f0579f73352f9",
+}
+
+
+def _untimed_csv(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    timed = {rows[0].index("mean_ns"), rows[0].index("time_share_pct")}
+    return "".join(",".join(c for i, c in enumerate(row) if i not in timed) + "\n"
+                   for row in rows)
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_reports_keep_their_bytes(self, name, capsys):
+        model, comp = name.split("-")
+        digest = hashlib.sha256()
+        for fmt in ("json", "csv"):
+            assert cli.main(["run", "--dataset", "er:300:0.05:9:8", "--model", model,
+                             "--comp", comp, "--precision", "f64",
+                             "--repeats", "1", "--format", fmt]) == 0
+            text = capsys.readouterr().out
+            if fmt == "json":
+                # the layout report_to_json writes, without the timing fields
+                text = json.dumps(strip_timing(json.loads(text)), indent=2) + "\n"
+            else:
+                text = _untimed_csv(text)
+            digest.update(text.encode())
+        assert digest.hexdigest() == PINNED_REPORTS[name]
 
 
 class TestDatasetsCommand:

@@ -17,6 +17,7 @@ from oracles import (
 
 from gnnbench.errors import CapacityError, FormatError, NormalizationError
 from gnnbench.graph import (
+    DEFAULT_DENSE_LIMIT,
     CooGraph,
     CsrGraph,
     add_self_loops,
@@ -121,7 +122,50 @@ class TestCooToDense:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            coo_to_dense(coo(10), limit=9)
+            coo_to_dense(coo(DEFAULT_DENSE_LIMIT + 1))
+
+
+def _coo_of(size=3, values=(0.5, 0.0), dtype=np.float64):
+    return CooGraph(size, [0, 1], [1, 2], np.array(values, dtype))
+
+
+def _csr_of(size=3, values=(0.5, 0.0), dtype=np.float64):
+    return CsrGraph(3, size, [0, 1, 1, 2], [1, 2], np.array(values, dtype))
+
+
+GRAPH_TYPES = {"coo": _coo_of, "csr": _csr_of}
+
+
+class TestBitwiseEquality:
+    @pytest.mark.parametrize("kind", sorted(GRAPH_TYPES))
+    def test_equal_copy(self, kind):
+        make = GRAPH_TYPES[kind]
+        assert make() == make()
+        assert not make() != make()
+
+    # a float32 copy of the same values, a -0.0 where the other holds +0.0,
+    # and another node count (num_cols for a CSR matrix)
+    @pytest.mark.parametrize("change", [{"dtype": np.float32},
+                                        {"values": (0.5, -0.0)}, {"size": 4}],
+                             ids=["float32", "negative-zero", "size"])
+    @pytest.mark.parametrize("kind", sorted(GRAPH_TYPES))
+    def test_unequal_copy(self, kind, change):
+        make = GRAPH_TYPES[kind]
+        assert make() != make(**change)
+        assert make(**change) != make()
+
+    @pytest.mark.parametrize("kind", sorted(GRAPH_TYPES))
+    def test_other_values_are_unequal(self, kind):
+        g = GRAPH_TYPES[kind]()
+        other_type = [make() for name, make in GRAPH_TYPES.items() if name != kind]
+        for other in [None, "graph"] + other_type:
+            assert (g == other) is False
+            assert (other == g) is False
+
+    @pytest.mark.parametrize("kind", sorted(GRAPH_TYPES))
+    def test_unhashable(self, kind):
+        with pytest.raises(TypeError):
+            hash(GRAPH_TYPES[kind]())
 
 
 class TestAddSelfLoops:

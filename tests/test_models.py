@@ -417,6 +417,14 @@ class TestPrepare:
 
     def test_one_layout_per_computational_model(self):
         assert set(_LAYOUT) == set(CompModel)
+        # every pipeline's ctx is its computational model's type, one row
+        # per node
+        g = gen_er_graph(12, 0.3, 4)
+        for model, comp in PIPELINES:
+            want, _ = _LAYOUT[comp]
+            ctx = prepare(spec_for(model.value, comp.value, (3, 3)), g)
+            assert isinstance(ctx, want)
+            assert ctx.num_rows == g.num_nodes
 
 
 def _peak_per_message_byte(model, g, x):
