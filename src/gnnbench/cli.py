@@ -409,7 +409,8 @@ def check(cfg: CliConfig) -> int:
     except CapacityError as exc:
         print(f"SKIP dense-reference: {exc}")
     else:
-        all_ok &= _check_close("dense-reference", out1.astype(np.float64), ref, tol)
+        all_ok &= _check_close("dense-reference", np.asarray(out1, np.float64), ref,
+                               tol)
 
     return EXIT_OK if all_ok else EXIT_CONSISTENCY
 

@@ -6,9 +6,10 @@ paths. The ``check`` CLI command compares pipeline output against this
 route; the test suite additionally keeps its own scalar-loop oracle, so the
 kernels, this module, and the tests form three independent routes.
 
-Dense materialization is guarded by ``graph.DEFAULT_DENSE_LIMIT``, which
-keeps this a desk-scale facility: a larger graph raises CapacityError, and
-``check`` reports the comparison as skipped.
+Each model's operator is built in place, so the route holds one n x n
+float64 array: about 134 MB at ``graph.DEFAULT_DENSE_LIMIT`` = 4096 nodes.
+That limit keeps this a desk-scale facility: a larger graph raises
+CapacityError, and ``check`` reports the comparison as skipped.
 """
 
 from __future__ import annotations
@@ -22,32 +23,30 @@ __all__ = ["dense_forward"]
 
 
 def _dense_normalized(g: CooGraph) -> np.ndarray:
-    looped = add_self_loops(g)
-    a_hat = coo_to_dense(looped)
-    d = a_hat.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
+    # (a_ij * inv_i) * inv_j in place: the roundings of inv_i * a_ij * inv_j
+    a_hat = coo_to_dense(add_self_loops(g))
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    a_hat *= inv_sqrt[:, None]
+    a_hat *= inv_sqrt[None, :]
+    return a_hat
 
 
-def _receiver_counts(g: CooGraph) -> np.ndarray:
-    # edge multiplicities into each node, including the inserted self-loop
-    looped = add_self_loops(g)
-    return np.bincount(looped.dst, minlength=g.num_nodes).astype(np.float64)
+def _dense_gin(g: CooGraph, epsilon: float) -> np.ndarray:
+    # A + (1 + eps) I in float64, touching the diagonal only: off it the
+    # identity adds a signed zero, which changes no entry because
+    # coo_to_dense never stores -0.0; the cast copies nothing for float64
+    op = coo_to_dense(g).astype(np.float64, copy=False)
+    op.flat[:: g.num_nodes + 1] += 1.0 + epsilon
+    return op
 
 
 def dense_forward(spec: ModelSpec, params, g: CooGraph, x: np.ndarray) -> np.ndarray:
     """Dense evaluation of the full pipeline defined by ``spec``;
     CapacityError for a graph past ``DEFAULT_DENSE_LIMIT`` nodes."""
     h = np.asarray(x, dtype=np.float64)
-    if spec.model is Model.GCN:
-        op = _dense_normalized(g)
-        for p in params:
-            h = apply_activation(op @ h @ np.asarray(p.theta, dtype=np.float64),
-                                 spec.activation)
-        return h
-    if spec.model is Model.GIN:
-        a = coo_to_dense(g)
-        op = a + (1.0 + spec.epsilon) * np.eye(g.num_nodes)
+    if spec.model is not Model.SAGE:
+        op = (_dense_normalized(g) if spec.model is Model.GCN
+              else _dense_gin(g, spec.epsilon))
         for p in params:
             h = apply_activation(op @ h @ np.asarray(p.theta, dtype=np.float64),
                                  spec.activation)
@@ -59,7 +58,7 @@ def dense_forward(spec: ModelSpec, params, g: CooGraph, x: np.ndarray) -> np.nda
     mult = CooGraph(looped.num_nodes, looped.src, looped.dst,
                     np.ones(looped.num_edges, dtype=np.float64))
     a_hat = coo_to_dense(mult)
-    counts = _receiver_counts(g)
+    counts = np.bincount(looped.dst, minlength=g.num_nodes)
     for p in params:
         mean = (a_hat @ h) / counts[:, None]
         h = apply_activation(

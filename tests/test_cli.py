@@ -434,6 +434,38 @@ class TestPinnedReports:
         assert digest.hexdigest() == PINNED_REPORTS[name]
 
 
+
+# SHA-256 of `gnnbench check`'s stdout followed by "exit <code>\n", for
+# each pipeline and precision at --epsilon -1.5 on er:300:0.05:9:8. Each
+# line prints its max abs diff, so a changed output or dense reference
+# shows here.
+PINNED_CHECKS = {
+    "gcn-mp-f64": "7e0c5a04b3ce418ce7dfd9f6691d4a9cdb21e57e3e70955d43530b4780d0cb95",
+    "gcn-mp-f32": "91f198442726b405e9b193a1b78de52679f64745e9e12598993a91ea9d69e0bf",
+    "gcn-spmm-f64": "4a94d850e24467a4c306fda2c64f210d8a421eaf01566f1f4630391e1552c998",
+    "gcn-spmm-f32": "8055ae41a9ba09e0e87f9923dab4229069b63035837006c818e6445dd97c3a4a",
+    "gin-mp-f64": "a577c929d93bef67d56b211ed66f7b2bfd094d5087917bbdd4da550bc1ad5f24",
+    "gin-mp-f32": "9ce546a3d5906d0e778453cbb530472d5c08f7a0a7871b596a0de41fdb9e32c1",
+    "gin-spmm-f64": "dbba031ea095add99a7d81174e6113af4fc796b04d620f55a8d2b5e771074b35",
+    "gin-spmm-f32": "091b8026d4a2d73bc3f12c8c990821961336baa16e00c0cde4009027c519c9fe",
+    "sage-mp-f64": "e9d1a0fe93907a2eb90f9032dd962e546bf298dc3be73754af4029ae076501b6",
+    "sage-mp-f32": "4c86e5c72e672329e70fbc97385a606b73e5da5e3ace0a7583d70f00c4e5eaae",
+}
+
+
+class TestPinnedChecks:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_checks_keep_their_bytes(self, name, precision, capsys):
+        model, comp = name.split("-")
+        code = cli.main(["check", "--dataset", "er:300:0.05:9:8", "--model", model,
+                         "--comp", comp, "--precision", precision,
+                         "--epsilon", "-1.5"])
+        text = capsys.readouterr().out + f"exit {code}\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == PINNED_CHECKS[f"{name}-{precision}"]
+
+
 class TestDatasetsCommand:
     def test_registry_rows(self, capsys):
         assert cli.main(["datasets"]) == 0
