@@ -33,8 +33,6 @@ from .graph import (
     coo,
     coo_to_csr,
     coo_to_dense,
-    csr_to_coo,
-    csr_to_dense,
     normalized_edges,
 )
 from .kernels import (

@@ -11,14 +11,17 @@ File formats (normative, bit-exact for round trips):
 - Features: header-less CSV, row i holds the feature vector of node i,
   decimal floating-point cells, rectangular, all values finite.
 
-Each loader first tries one vectorized ``np.loadtxt`` pass. It keeps the
-result only for plain files: decimal ``src dst`` pairs in range after an
-optional ``%nodes`` line, or rectangular CSV rows of finite values, one per
-node, as ``%d`` and ``%.17g`` write them. Every other file goes to the line
-loop (``_edge_list_loop``, ``_features_loop``), which owns the grammar: it
-still accepts ``1_000``, full-width digits, ``#`` comment lines and
-whitespace-only lines, and it raises every error, with its line number.
-Where both accept a file they give the same bytes.
+Each loader first tries one vectorized pass and keeps its result only for
+plain files, as ``%d`` and ``%.17g`` write them. An edge list is plain when,
+after an optional ``%nodes`` line, its bytes are lines of 1-18 ASCII digits,
+one space and 1-18 digits, each ending in a newline (the last may not),
+with the indices in range; one ``np.fromstring`` parses it. A feature CSV is
+plain when one ``np.loadtxt`` pass reads rectangular rows of finite values,
+one per node. Every other file goes to the line loop (``_edge_list_loop``,
+``_features_loop``), which owns the grammar: it still accepts ``1_000``,
+full-width digits, ``#`` comment lines, whitespace-only lines, tabs and
+CRLF line ends, and it raises every error, with its line number. Where both
+accept a file they give the same bytes.
 
 The registry carries the metadata of the five reference datasets. The files
 themselves are not bundled (size and licensing); the loaders accept local
@@ -61,8 +64,7 @@ _FEATURES_ROLE = 0x66656174  # "feat"
 MAX_ER_PAIRS = 1 << 30
 
 # The ASCII separators 0x1c-0x1f: loadtxt strips them around a number like
-# whitespace, float() rejects them. (Between edge-list indices both the loop's
-# str.split() and loadtxt take them as whitespace.)
+# whitespace, float() rejects them.
 _FLOAT_REJECTS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
@@ -107,10 +109,10 @@ def _utf8_text(path):
 def _loadtxt(fh, dtype, delimiter):
     """``fh`` parsed by one ``np.loadtxt`` pass, or None when it fails or warns.
 
-    ``comments=None``: loadtxt would cut a line at a ``#`` anywhere, while
-    the grammar has ``#`` comments only at the start of a line. A file with
-    no data makes loadtxt warn, and a byte that is not UTF-8 raises
-    ``UnicodeDecodeError`` (a ``ValueError``); both go to the loop too.
+    ``comments=None``: loadtxt would cut a line at a ``#``, which the
+    feature grammar does not take as a comment. A file with no data makes
+    loadtxt warn, and a byte that is not UTF-8 raises ``UnicodeDecodeError``
+    (a ``ValueError``); both go to the loop too.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -142,26 +144,53 @@ def load_edge_list(path) -> CooGraph:
 
 
 def _edge_list_vectorized(path):
-    """The graph when one loadtxt pass meets every rule of the loop, else None."""
-    with _utf8_text(path) as fh:
-        try:
-            first = fh.readline().strip()
-            if first.startswith("%"):
-                declared_nodes = _nodes_directive(path, first)
-            else:
-                declared_nodes = None
-                fh.seek(0)
-        except ValueError:  # ParseError or UnicodeDecodeError
-            return None
-        pairs = _loadtxt(fh, np.int64, None)
-    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0:
+    """The graph when the file is plain ``src dst`` lines after an optional
+    ``%nodes`` line (``_plain_pairs``; the last newline may be missing),
+    else None. The loop reads such lines as the same decimal pairs, and 18
+    digits stay below 2^63, so one ``np.fromstring`` pass parses them."""
+    with open(path, "rb") as fh:
+        first = fh.readline().rstrip()
+        if first.lstrip().startswith(b"%"):
+            # a "\r" inside the line would end it in the loop's text mode
+            if b"\r" in first:
+                return None
+            try:
+                declared_nodes = _nodes_directive(path, first.decode("utf-8").strip())
+            except ValueError:  # ParseError or UnicodeDecodeError
+                return None
+        else:
+            declared_nodes = None
+            fh.seek(0)
+        body = fh.read()
+    if not body:
         return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if not _plain_pairs(body):
+        return None
+    pairs = np.fromstring(body, dtype=np.int64, sep=" ")
     top = int(pairs.max())
     if declared_nodes is not None and top >= declared_nodes:
         return None
-    src, dst = pairs.T.copy()
+    src, dst = pairs.reshape(-1, 2).T.copy()
     return CooGraph(top + 1 if declared_nodes is None else declared_nodes,
                     src, dst)
+
+
+def _plain_pairs(body: bytes) -> bool:
+    """Whether ``body`` is lines of 1-18 ASCII digits, one space and 1-18
+    digits, each ending in a newline. Its index arrays are freed on return,
+    before the parse allocates its own."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # the bytes that are not digits must run " ", "\n", " ", ..., "\n", so
+    # a plain body has at least two before gaps.min() is reached, and each
+    # must end a run of 1-18 digits
+    seps = np.flatnonzero(chars - ord("0") > 9)
+    kinds = chars[seps]
+    gaps = np.diff(seps)
+    return bool((kinds[0::2] == ord(" ")).all()
+                and (kinds[1::2] == ord("\n")).all()
+                and 1 <= seps[0] <= 18 and gaps.min() >= 2 and gaps.max() <= 19)
 
 
 def _edge_list_loop(path) -> CooGraph:

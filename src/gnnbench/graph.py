@@ -18,8 +18,9 @@ Every edge layout comes from one primitive, ``_node_sort``: scipy's
 compiled stable counting sort (``coo_tocsr``) by a node array, which moves
 the edges' other endpoints and weights as its payload and returns them with
 the row pointer, in O(e + n) and with no permutation to gather by.
-:func:`coo_to_csr` is two of its passes, and ``models`` lays out MP's edges
-with one.
+:func:`coo_to_csr` is one of its passes, by source, followed by scipy's
+compiled stable transpose and duplicate sum, and ``models`` lays out MP's
+edges with one pass.
 
 All types are immutable after construction and safe to share across
 concurrent executors; every operation here is a pure function.
@@ -222,39 +223,21 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     coalesced by summation in edge order.
     """
     n, e = g.num_nodes, g.num_edges
-    # stable passes by source, then destination: duplicates keep edge order
-    src_ptr, dst, weights = _node_sort(g.src, n, g.dst, g.weights)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(src_ptr))
-    row_ptr, cols, values = _node_sort(dst, n, src, weights)
-    # an entry starts a group unless it repeats its row's previous column
-    first = np.empty(e + 1, dtype=bool)
-    np.not_equal(cols[1:], cols[:-1], out=first[1:e])
-    first[row_ptr] = True
-    first = first[:e]
-    # summed into zeros, so a lone -0.0 weight coalesces to +0.0, and a
-    # group's sum is ((0 + w1) + w2) + ... in edge order; without duplicates
-    # every entry is a group of its own, and the grouping is skipped
-    if first.all():
-        values += 0.0
-        return CsrGraph(n, n, row_ptr, cols, values)
-    groups = np.zeros(e + 1, dtype=np.int64)
-    np.cumsum(first, out=groups[1:])
-    repeats = ~first
-    summed = values[first]
-    summed += 0.0
-    # groups[k] groups start before entry k, so a repeat adds into the last
-    np.add.at(summed, groups[:-1][repeats] - 1, values[repeats])
-    return CsrGraph(n, n, groups[row_ptr], cols[first], summed)
-
-
-def csr_to_coo(a: CsrGraph) -> CooGraph:
-    """Inverse of :func:`coo_to_csr` on canonical input (bitwise round trip)."""
-    if a.num_rows != a.num_cols:
-        raise FormatError(
-            f"only square matrices convert to graphs, got {a.num_rows}x{a.num_cols}"
-        )
-    dst = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
-    return CooGraph(a.num_rows, a.col_idx.copy(), dst, a.values.copy())
+    row_ptr = np.empty(n + 1, dtype=np.int64)
+    cols = np.empty(e, dtype=np.int64)
+    values = np.empty(e, dtype=g.weights.dtype)
+    # sorted by source, then transposed by scipy's stable csr_tocsc: each
+    # row lists its sources in order, and duplicates keep edge order
+    _sparsetools.csr_tocsc(n, n, *_node_sort(g.src, n, g.dst, g.weights),
+                           row_ptr, cols, values)
+    # sums each run of a repeated column in place, w1 + w2 + ... in edge
+    # order; adding +0.0 then gives ((0 + w1) + w2) + ..., so a sum of
+    # -0.0 weights, or a lone one, coalesces to +0.0
+    _sparsetools.csr_sum_duplicates(n, n, row_ptr, cols, values)
+    nnz = row_ptr[n]
+    values = values[:nnz]
+    values += 0.0
+    return CsrGraph(n, n, row_ptr, cols[:nnz], values)
 
 
 def coo_to_dense(g: CooGraph) -> np.ndarray:
@@ -265,17 +248,6 @@ def coo_to_dense(g: CooGraph) -> np.ndarray:
                             f"exceeds limit {DEFAULT_DENSE_LIMIT}")
     dense = np.zeros((g.num_nodes, g.num_nodes), dtype=g.weights.dtype)
     np.add.at(dense, (g.dst, g.src), g.weights)
-    return dense
-
-
-def csr_to_dense(a: CsrGraph) -> np.ndarray:
-    """Materialize a CSR matrix densely (same guard as :func:`coo_to_dense`)."""
-    if max(a.num_rows, a.num_cols) > DEFAULT_DENSE_LIMIT:
-        raise CapacityError(f"dense materialization of {a.num_rows}x{a.num_cols} "
-                            f"exceeds limit {DEFAULT_DENSE_LIMIT}")
-    dense = np.zeros((a.num_rows, a.num_cols), dtype=a.values.dtype)
-    rows = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
-    dense[rows, a.col_idx] = a.values
     return dense
 
 
@@ -334,9 +306,7 @@ __all__ = [
     "CsrGraph",
     "coo",
     "coo_to_csr",
-    "csr_to_coo",
     "coo_to_dense",
-    "csr_to_dense",
     "add_self_loops",
     "normalized_edges",
     "DEFAULT_DENSE_LIMIT",

@@ -190,15 +190,16 @@ def _check_index(index: np.ndarray, n: int) -> np.ndarray:
     # an empty list arrives as float64, which holds no value to truncate
     if index.dtype.kind not in "iu" and index.size:
         raise IndexRangeError(f"index must be integers, got dtype {index.dtype}")
-    index = index.astype(np.int64, copy=False)
     if index.ndim != 1:
         raise IndexRangeError("index must be one-dimensional")
+    # checked in the caller's dtype, so a uint64 of 2^63 or more is named as
+    # given rather than as the negative int64 it casts to
     if index.size and (index.min() < 0 or index.max() >= n):
         k = int(np.flatnonzero((index < 0) | (index >= n))[0])
         raise IndexRangeError(
             f"index[{k}] = {int(index[k])} out of range [0, {n})"
         )
-    return index
+    return index.astype(np.int64, copy=False)
 
 
 def index_select(x: np.ndarray, index) -> np.ndarray:

@@ -11,16 +11,18 @@ The numpy section at the end keeps the implementations the package used
 before its sparse product primitive, its sort-based CSR build, its
 self-loop mask and its block-wise graph generator: ``np.add.at`` scatter and
 spmm, rank-1 sgemm, ``np.unique`` coalescing and loop finding, and the
-whole-array Erdos-Renyi formula, which
-compares float draws with ``p`` where the package compares integers. They
-work in the operands' own dtype, so they pin f32 results bit for bit where
-the list-based oracles, which compute in Python floats, cannot.
+whole-array Erdos-Renyi formula, which compares float draws with ``p``
+where the package compares integers. It also holds the CSR-to-COO and
+CSR-to-dense conversions, which only tests use. They work in the operands'
+own dtype, so they pin f32 results bit for bit where the list-based
+oracles, which compute in Python floats, cannot.
 """
 
 import math
 
 import numpy as np
 
+from gnnbench.errors import FormatError
 from gnnbench.graph import CooGraph, CsrGraph
 
 
@@ -247,6 +249,25 @@ def rank1_sgemm(a, b):
     for k in range(a.shape[1]):
         out += a[:, k, None] * b[None, k, :]
     return out
+
+
+def csr_to_coo(a):
+    """The edge list of a square CSR matrix, rows as destinations: the
+    inverse of ``coo_to_csr`` on canonical input, bit for bit."""
+    if a.num_rows != a.num_cols:
+        raise FormatError(
+            f"only square matrices convert to graphs, got {a.num_rows}x{a.num_cols}"
+        )
+    dst = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
+    return CooGraph(a.num_rows, a.col_idx.copy(), dst, a.values.copy())
+
+
+def csr_to_dense(a):
+    """A CSR matrix densified in its values' own dtype."""
+    dense = np.zeros((a.num_rows, a.num_cols), dtype=a.values.dtype)
+    rows = np.repeat(np.arange(a.num_rows, dtype=np.int64), np.diff(a.row_ptr))
+    dense[rows, a.col_idx] = a.values
+    return dense
 
 
 def unique_coo_to_csr(g):

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import one_layer
-from oracles import dense_from_csr, dense_layer, naive_matmul, to_lists
+from oracles import csr_to_coo, csr_to_dense, dense_from_csr, dense_layer, \
+    naive_matmul, to_lists
 from test_bench import predict_counters
 from test_cli import strip_timing
 
 from gnnbench import cli
 from gnnbench.data import gen_er_graph, gen_features
-from gnnbench.graph import CooGraph, coo, coo_to_csr, coo_to_dense, csr_to_coo, \
-    csr_to_dense
+from gnnbench.graph import CooGraph, coo, coo_to_csr, coo_to_dense
 from gnnbench.kernels import sgemm, spmm
 from gnnbench.models import (
     Activation,

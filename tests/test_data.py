@@ -520,8 +520,8 @@ def write_perfbench_files(tmp_path, seed=3, n=500, e=5000, f=32):
 
 
 class TestVectorizedLoaders:
-    """The loaders try one loadtxt pass and fall back to the line loop; on
-    every file they give what the loop alone gives, bytes or error."""
+    """The loaders try one vectorized pass and fall back to the line loop;
+    on every file they give what the loop alone gives, bytes or error."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -530,6 +530,16 @@ class TestVectorizedLoaders:
     @example(text="0 1 0\n")
     @example(text="%nodes 2\n0 2\n")
     @example(text="0 1 # note\n")
+    @example(text="0 1\n1 0")
+    @example(text="0  1\n")
+    @example(text="0\t1\n")
+    @example(text=" 0 1\n")
+    @example(text="0 1\r\n1 0\r\n")
+    @example(text="+5 1\n")
+    @example(text="007 1\n")
+    @example(text="1234567890123456789 0\n")
+    @example(text=f"{2**63} 0\n")
+    @example(text="  %nodes 5\n0 1\n")
     def test_edge_list_agrees_with_loop(self, tmp_path, text):
         path = tmp_path / "g.edges"
         path.write_bytes(text.encode("utf-8"))
@@ -575,13 +585,17 @@ class TestVectorizedLoaders:
         want_g = outcome(_edge_list_loop, edges)
         want_x = outcome(_features_loop, features, 500)
 
-        def no_loop(*args):
-            raise AssertionError("the line loop ran")
+        def no_call(*args, **kwargs):
+            raise AssertionError("a slow path ran")
 
-        monkeypatch.setattr(data, "_edge_list_loop", no_loop)
-        monkeypatch.setattr(data, "_features_loop", no_loop)
-        assert outcome(load_edge_list, edges) == want_g
+        monkeypatch.setattr(data, "_edge_list_loop", no_call)
+        monkeypatch.setattr(data, "_features_loop", no_call)
         assert outcome(load_features, features, 500) == want_x
+        # the edge list needs no loadtxt either, nor a newline at its end
+        monkeypatch.setattr(np, "loadtxt", no_call)
+        assert outcome(load_edge_list, edges) == want_g
+        edges.write_bytes(edges.read_bytes().rstrip(b"\n"))
+        assert outcome(load_edge_list, edges) == want_g
 
     def test_feature_peak_memory_is_about_the_output(self, tmp_path):
         # the line loop peaked at about 5.4 times the matrix
@@ -613,6 +627,10 @@ class TestNodesDirective:
     @pytest.mark.parametrize("text,message", [
         ("%nodes -1\n0 1\n", ":1: node count must be >= 0"),
         ("%nodes\n0 1\n", ":1: unknown directive '%nodes'"),
+        # a lone carriage return ends line 1 before the count, or before
+        # the directive
+        ("%nodes\r5\n0 1\n", ":1: unknown directive '%nodes'"),
+        ("\r%nodes 5\n0 1\n", ":2: directives are only allowed on line 1"),
         ("%NODES 5\n0 1\n", ":1: unknown directive '%NODES 5'"),
         ("%nodes five\n0 1\n", ":1: invalid node count 'five'"),
         ("%nodes 5 6\n0 1\n", ":1: unknown directive '%nodes 5 6'"),

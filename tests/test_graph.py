@@ -9,6 +9,8 @@ from conftest import coo_graphs, symmetric_graph
 from oracles import (
     csr_from_dense,
     csr_identity,
+    csr_to_coo,
+    csr_to_dense,
     dense_adjacency,
     dense_normalized,
     unique_add_self_loops,
@@ -24,8 +26,6 @@ from gnnbench.graph import (
     coo,
     coo_to_csr,
     coo_to_dense,
-    csr_to_coo,
-    csr_to_dense,
     normalized_edges,
 )
 from gnnbench.graph import _node_sort

@@ -11,6 +11,7 @@ from oracles import (
     add_at_scatter,
     add_at_spmm,
     csr_identity,
+    csr_to_dense,
     dense_from_csr,
     gather_reference,
     naive_matmul,
@@ -25,7 +26,6 @@ from gnnbench.graph import (
     CsrGraph,
     coo,
     coo_to_csr,
-    csr_to_dense,
     normalized_edges,
 )
 from gnnbench import bench, kernels
@@ -86,6 +86,13 @@ class TestIndexSelect:
         # whichever bound fails, the message names the earliest offender
         with pytest.raises(IndexRangeError, match=bad):
             index_select(np.zeros((2, 1)), index)
+
+    def test_uint64_past_int64_named_as_given(self):
+        # not as -1, the int64 that 2^64 - 1 casts to
+        index = np.array([0, 2**64 - 1], np.uint64)
+        with pytest.raises(IndexRangeError,
+                           match=r"^index\[1\] = 18446744073709551615 out of range \[0, 3\)$"):
+            index_select(np.ones((3, 2)), index)
 
     def test_two_dimensional_index_rejected(self):
         with pytest.raises(IndexRangeError, match="one-dimensional"):

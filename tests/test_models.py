@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_layer
-from oracles import dense_layer
+from oracles import csr_to_dense, dense_layer
 
 from gnnbench.bench import cast_inputs
 from gnnbench.data import gen_er_graph, gen_features
@@ -19,7 +19,6 @@ from gnnbench.graph import (
     coo,
     coo_to_csr,
     coo_to_dense,
-    csr_to_dense,
     normalized_edges,
 )
 from gnnbench.kernels import ReduceOp, index_select, scatter, sgemm
