@@ -7,52 +7,6 @@ instrumented runner producing per-kernel timing and operation-breakdown
 reports.
 """
 
-from .bench import (
-    Instrumentation,
-    KernelStats,
-    RunReport,
-    instrumented_run,
-    parse_report_json,
-)
-from .data import DatasetRecord, gen_er_graph, gen_features, load_edge_list, \
-    load_features, registry
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ConsistencyError,
-    FormatError,
-    IndexRangeError,
-    NormalizationError,
-    ParseError,
-    ShapeError,
-)
-from .graph import (
-    CooGraph,
-    CsrGraph,
-    add_self_loops,
-    coo,
-    coo_to_csr,
-    coo_to_dense,
-    normalized_edges,
-)
-from .kernels import (
-    OpCounters,
-    ReduceOp,
-    index_select,
-    scatter,
-    sgemm,
-    spmm,
-)
-from .models import (
-    Activation,
-    CompModel,
-    LayerParams,
-    Model,
-    ModelSpec,
-    forward,
-    init_weights,
-    relu,
-    sigmoid,
-)
+from .graph import CooGraph
 
 __version__ = "0.1.0"

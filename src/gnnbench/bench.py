@@ -165,11 +165,6 @@ class Instrumentation:
         return dict(self._stats)
 
 
-def _synthesize_record(g: CooGraph, x: np.ndarray) -> DatasetRecord:
-    return DatasetRecord("custom", "XX", g.num_nodes, x.shape[1],
-                         g.num_edges, "synthetic")
-
-
 def _narrowed(cast, what: str, precision: str):
     try:
         with np.errstate(over="raise"):
@@ -203,7 +198,8 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    record = dataset if dataset is not None else _synthesize_record(g, x)
+    record = dataset if dataset is not None else DatasetRecord(
+        "custom", "XX", g.num_nodes, x.shape[1], g.num_edges, "synthetic")
 
     g, x, params = cast_inputs(spec, g, x, precision)
     ctx = models.prepare(spec, g)

@@ -50,7 +50,6 @@ from .errors import (
     FormatError,
     IndexRangeError,
     NormalizationError,
-    ParseError,
     ShapeError,
 )
 from .rng import MASK64
@@ -425,8 +424,8 @@ def datasets() -> int:
     return EXIT_OK
 
 
-_DATA_ERRORS = (FormatError, ParseError, ShapeError, IndexRangeError,
-                NormalizationError, OSError)
+_DATA_ERRORS = (FormatError, ShapeError, IndexRangeError, NormalizationError,
+                OSError)
 
 # The exit code of each error kind, first match wins.
 _ERROR_EXITS = ((ConfigError, EXIT_USAGE), (_DATA_ERRORS, EXIT_DATA),

@@ -106,23 +106,6 @@ def _utf8_text(path):
                              f"0x{exc.object[exc.start]:02x}") from None
 
 
-def _loadtxt(fh, dtype, delimiter):
-    """``fh`` parsed by one ``np.loadtxt`` pass, or None when it fails or warns.
-
-    ``comments=None``: loadtxt would cut a line at a ``#``, which the
-    feature grammar does not take as a comment. A file with no data makes
-    loadtxt warn, and a byte that is not UTF-8 raises ``UnicodeDecodeError``
-    (a ``ValueError``); both go to the loop too.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter,
-                              comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-
-
 def _nodes_directive(path, line) -> int:
     """The node count of a stripped line-1 ``%nodes N`` directive."""
     parts = line.split()
@@ -248,14 +231,27 @@ def load_features(path, expected_nodes: int) -> np.ndarray:
 
 
 def _features_vectorized(path, expected_nodes: int):
-    """The matrix when one loadtxt pass meets every rule of the loop, else None."""
+    """The matrix when one loadtxt pass meets every rule of the loop, else None.
+
+    ``comments=None``: loadtxt would cut a line at a ``#``, which the
+    feature grammar does not take as a comment. A file with no data makes
+    loadtxt warn, and a byte that is not UTF-8 raises ``UnicodeDecodeError``
+    (a ``ValueError``); both go to the loop too. loadtxt reads the open
+    handle, not the path: given a path, numpy would decompress a ``.gz`` or
+    ``.bz2`` file that the loop rejects.
+    """
     with open(path, "rb") as fh:
         if any(sep in chunk for chunk in iter(lambda: fh.read(1 << 16), b"")
                for sep in _FLOAT_REJECTS):
             return None
-    with _utf8_text(path) as fh:
-        x = _loadtxt(fh, np.float64, ",")
-    if x is None or len(x) != expected_nodes or not np.isfinite(x).all():
+    with _utf8_text(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                           comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if len(x) != expected_nodes or not np.isfinite(x).all():
         return None
     return x
 

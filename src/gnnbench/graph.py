@@ -14,13 +14,14 @@ index the destination, i.e. row i of the CSR matrix lists the in-neighbors
 of node i. With that convention a sparse-times-dense product against the
 feature matrix directly produces per-node aggregations.
 
-Every edge layout comes from one primitive, ``_node_sort``: scipy's
-compiled stable counting sort (``coo_tocsr``) by a node array, which moves
-the edges' other endpoints and weights as its payload and returns them with
-the row pointer, in O(e + n) and with no permutation to gather by.
-:func:`coo_to_csr` is one of its passes, by source, followed by scipy's
-compiled stable transpose and duplicate sum, and ``models`` lays out MP's
-edges with one pass.
+Both edge layouts the models read are built here, from one primitive,
+``_node_sort``: scipy's compiled stable counting sort (``coo_tocsr``) by a
+node array, which moves the edges' other endpoints and weights as its
+payload and returns them with the row pointer, in O(e + n) and with no
+permutation to gather by. :func:`coo_to_csr`, the sparse-matrix layout, is
+one of its passes, by source, followed by scipy's compiled stable
+transpose and duplicate sum; :func:`coo_to_incidence`, the message-passing
+layout (a :class:`MessagePassing`), is one pass by destination.
 
 All types are immutable after construction and safe to share across
 concurrent executors; every operation here is a pure function.
@@ -29,6 +30,7 @@ concurrent executors; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -116,15 +118,6 @@ class CooGraph:
                         self.weights.astype(dtype))
 
     __eq__ = _bitwise_eq
-
-
-def coo(num_nodes: int, src=(), dst=(), weights=None) -> CooGraph:
-    """Convenience constructor; weights default to all ones."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if weights is None:
-        weights = np.ones(len(src), dtype=np.float64)
-    return CooGraph(num_nodes, src, dst, np.asarray(weights, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +233,31 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     return CsrGraph(n, n, row_ptr, cols[:nnz], values)
 
 
+class MessagePassing(NamedTuple):
+    """Edges as the message-passing model reads them, stably sorted by
+    destination."""
+
+    src: np.ndarray       # the source node of each edge, in that order
+    incidence: CsrGraph   # destination x edge; values are the edge weights
+
+    @property
+    def num_rows(self) -> int:
+        """The node count: one incidence row per destination."""
+        return self.incidence.num_rows
+
+
+def coo_to_incidence(g: CooGraph) -> MessagePassing:
+    """The edges sorted by destination: their sources, and the destination
+    x edge incidence whose values are their weights.
+
+    Each destination keeps its edges in edge-list order.
+    """
+    n, e = g.num_nodes, g.num_edges
+    row_ptr, src, weights = _node_sort(g.dst, n, g.src, g.weights)
+    return MessagePassing(src, CsrGraph(
+        n, e, row_ptr, np.arange(e, dtype=np.int64), weights))
+
+
 def coo_to_dense(g: CooGraph) -> np.ndarray:
     """Materialize the [n x n] adjacency with entry [dst][src] = summed weight;
     CapacityError past ``DEFAULT_DENSE_LIMIT`` nodes."""
@@ -304,8 +322,9 @@ def normalized_edges(g: CooGraph) -> CooGraph:
 __all__ = [
     "CooGraph",
     "CsrGraph",
-    "coo",
+    "MessagePassing",
     "coo_to_csr",
+    "coo_to_incidence",
     "coo_to_dense",
     "add_self_loops",
     "normalized_edges",

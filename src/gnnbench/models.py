@@ -27,13 +27,13 @@ applies the ``ModelSpec``'s activation, after each layer's update.
 :func:`prepare` lays the edge list out once per run, as its computational
 model reads it; ``_LAYOUT`` names each computational model's ctx type and
 its builder, and :func:`forward` checks a caller's ctx against that type.
-Under MP the ctx is a :class:`MessagePassing`: the edge sources stably
-sorted by destination, which ``index_select`` gathers by, and the
+Both layouts come from ``graph``. Under MP the ctx is a
+``graph.MessagePassing`` from ``graph.coo_to_incidence``: the edge sources
+stably sorted by destination, which ``index_select`` gathers by, and the
 destination x edge incidence ``CsrGraph`` that ``scatter`` reduces through,
 its values the per-edge scale (GCN's normalized weights, GIN's raw weights,
-SAGE's units); both come from one compiled pass of ``graph``'s stable node
-sort, which carries the sources and weights. Under SpMM it is the canonical
-``CsrGraph``.
+SAGE's units). Under SpMM it is the canonical ``CsrGraph`` from
+``graph.coo_to_csr``.
 
 The two computational models of the same network agree within floating
 point reordering error; that equivalence is the central correctness
@@ -58,9 +58,10 @@ from .errors import ConfigError, ShapeError
 from .graph import (
     CooGraph,
     CsrGraph,
-    _node_sort,
+    MessagePassing,
     add_self_loops,
     coo_to_csr,
+    coo_to_incidence,
     normalized_edges,
 )
 from .kernels import ReduceOp
@@ -74,7 +75,6 @@ __all__ = [
     "LayerParams",
     "Pipeline",
     "PIPELINES",
-    "MessagePassing",
     "pipeline_for",
     "init_weights",
     "prepare",
@@ -274,31 +274,11 @@ PIPELINES = {
 }
 
 
-class MessagePassing(NamedTuple):
-    """A pipeline's edges as MP reads them, stably sorted by destination."""
-
-    src: np.ndarray       # the source node of each edge, in that order
-    incidence: CsrGraph   # destination x edge; values are the edge weights
-
-    @property
-    def num_rows(self) -> int:
-        """The node count: one incidence row per destination."""
-        return self.incidence.num_rows
-
-
-def _message_passing(g: CooGraph) -> MessagePassing:
-    n, e = g.num_nodes, g.num_edges
-    # each destination keeps its edges in edge-list order
-    row_ptr, src, weights = _node_sort(g.dst, n, g.src, g.weights)
-    return MessagePassing(src, CsrGraph(
-        n, e, row_ptr, np.arange(e, dtype=np.int64), weights))
-
-
 # How each computational model lays out a pipeline's edges, as (ctx type,
 # builder): MP gathers messages in destination order and reduces them
 # through the destination x edge incidence; SpMM multiplies by the edges'
 # canonical CSR.
-_LAYOUT = {CompModel.MP: (MessagePassing, _message_passing),
+_LAYOUT = {CompModel.MP: (MessagePassing, coo_to_incidence),
            CompModel.SPMM: (CsrGraph, coo_to_csr)}
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from gnnbench.graph import CooGraph, coo
+from gnnbench.graph import CooGraph
 from gnnbench.models import Activation, CompModel, Model, ModelSpec, forward
 
 
@@ -18,7 +18,7 @@ def coo_graphs(draw, max_nodes=10, max_edges=24, unit_weights=False):
             st.floats(min_value=-8, max_value=8, allow_nan=False,
                       allow_infinity=False),
             min_size=e, max_size=e))
-    return coo(n, src, dst, np.asarray(weights, dtype=np.float64))
+    return CooGraph(n, src, dst, np.asarray(weights, dtype=np.float64))
 
 
 def symmetric_graph(g: CooGraph) -> CooGraph:

@@ -17,7 +17,7 @@ from test_cli import strip_timing
 
 from gnnbench import cli
 from gnnbench.data import gen_er_graph, gen_features
-from gnnbench.graph import CooGraph, coo, coo_to_csr, coo_to_dense
+from gnnbench.graph import CooGraph, coo_to_csr, coo_to_dense
 from gnnbench.kernels import sgemm, spmm
 from gnnbench.models import (
     Activation,
@@ -131,10 +131,10 @@ def test_criterion_4_format_round_trips():
         for _ in range(100):
             n = int(rng.integers(1, 24))
             e = int(rng.integers(0, 64))
-            g = coo(n,
-                    src=rng.integers(0, n, e),
-                    dst=rng.integers(0, n, e),
-                    weights=np.round(rng.uniform(-4, 4, e), 3))
+            g = CooGraph(n,
+                         src=rng.integers(0, n, e),
+                         dst=rng.integers(0, n, e),
+                         weights=np.round(rng.uniform(-4, 4, e), 3))
             a = coo_to_csr(g)
             assert coo_to_csr(csr_to_coo(a)) == a
             assert coo_to_dense(g).tobytes() == csr_to_dense(a).tobytes()

@@ -81,3 +81,48 @@ def test_every_name_the_benchmark_reaches_resolves():
     missing = sorted(f"{m or 'gnnbench'}.{name}" for m, name in refs
                      if not _resolves(m, name))
     assert missing == []
+
+
+SRC = pathlib.Path(gnnbench.__file__).parent
+
+
+def _private_reaches(path):
+    """``module._name`` for every underscore name ``path`` imports from, or
+    reads off, another gnnbench module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}  # local name -> gnnbench module it is bound to
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("gnnbench")):
+            module = (node.module or "").removeprefix("gnnbench").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_reaches_another_modules_private_names():
+    # a private name has one home: the module that defines it
+    found = {f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in _private_reaches(path)}
+    assert found == set()
+
+
+def test_package_root_exports_only_what_the_benchmark_imports():
+    # the root re-exports nothing the benchmark does not import from it;
+    # every other name has one home, gnnbench.<module>
+    with open(gnnbench.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    exported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    from_root = {name for module, name in _perfbench_references()
+                 if module is None}
+    assert exported <= from_root

@@ -23,9 +23,9 @@ from gnnbench.graph import (
     CooGraph,
     CsrGraph,
     add_self_loops,
-    coo,
     coo_to_csr,
     coo_to_dense,
+    coo_to_incidence,
     normalized_edges,
 )
 from gnnbench.graph import _node_sort
@@ -50,12 +50,12 @@ def multigraphs(draw):
     weights = draw(st.lists(st.floats(-8, 8, allow_nan=False,
                                       allow_infinity=False),
                             min_size=e, max_size=e))
-    return coo(n, src, dst, weights)
+    return CooGraph(n, src, dst, weights)
 
 
 class TestCooToCsr:
     def test_three_node_example(self):
-        g = coo(3, src=[0, 1, 0], dst=[1, 2, 2])
+        g = CooGraph(3, src=[0, 1, 0], dst=[1, 2, 2])
         a = coo_to_csr(g)
         assert a.row_ptr.tolist() == [0, 0, 1, 3]
         assert a.col_idx.tolist() == [0, 0, 1]
@@ -68,7 +68,7 @@ class TestCooToCsr:
 
     def test_empty_graph(self):
         for dtype in (np.float32, np.float64):
-            a = coo_to_csr(coo(2).astype(dtype))
+            a = coo_to_csr(CooGraph(2, [], []).astype(dtype))
             assert a.row_ptr.tolist() == [0, 0, 0]
             assert a.col_idx.tolist() == []
             assert a.values.tolist() == []
@@ -76,7 +76,7 @@ class TestCooToCsr:
             assert a.values.dtype == dtype
 
     def test_duplicate_edges_sum(self):
-        g = coo(2, src=[0, 0], dst=[1, 1])
+        g = CooGraph(2, src=[0, 0], dst=[1, 1])
         a = coo_to_csr(g)
         assert a.row_ptr.tolist() == [0, 0, 1]
         assert a.values.tolist() == [2.0]
@@ -110,19 +110,20 @@ class TestCsrToCoo:
 
 class TestCooToDense:
     def test_single_edge_placement(self):
-        d = coo_to_dense(coo(2, src=[0], dst=[1]))
+        d = coo_to_dense(CooGraph(2, src=[0], dst=[1]))
         assert d.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_empty_is_zero(self):
-        assert coo_to_dense(coo(2)).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        d = coo_to_dense(CooGraph(2, [], []))
+        assert d.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_duplicate_edge_sums(self):
-        d = coo_to_dense(coo(2, src=[0, 0], dst=[1, 1]))
+        d = coo_to_dense(CooGraph(2, src=[0, 0], dst=[1, 1]))
         assert d[1][0] == 2.0
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            coo_to_dense(coo(DEFAULT_DENSE_LIMIT + 1))
+            coo_to_dense(CooGraph(DEFAULT_DENSE_LIMIT + 1, [], []))
 
 
 def _coo_of(size=3, values=(0.5, 0.0), dtype=np.float64):
@@ -170,16 +171,16 @@ class TestBitwiseEquality:
 
 class TestAddSelfLoops:
     def test_empty_becomes_identity(self):
-        g = add_self_loops(coo(2))
+        g = add_self_loops(CooGraph(2, [], []))
         assert edge_set(g) == [(0, 0, 1.0), (1, 1, 1.0)]
 
     def test_existing_loop_untouched(self):
-        g = add_self_loops(coo(2, src=[0], dst=[0]))
+        g = add_self_loops(CooGraph(2, src=[0], dst=[0]))
         assert edge_set(g) == [(0, 0, 1.0), (1, 1, 1.0)]
         assert g.num_edges == 2
 
     def test_mixed(self):
-        g = add_self_loops(coo(3, src=[0], dst=[1]))
+        g = add_self_loops(CooGraph(3, src=[0], dst=[1]))
         assert edge_set(g) == [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
 
 
@@ -193,15 +194,15 @@ class TestComputeDegrees:
 
     def test_fully_connected_with_loops(self):
         pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
-        g = coo(3, [u for u, _ in pairs], [v for _, v in pairs])
+        g = CooGraph(3, [u for u, _ in pairs], [v for _, v in pairs])
         assert normalized_edges(g).weights.tolist() == [1 / math.sqrt(9)] * 9
 
     def test_isolated_node_after_loops(self):
-        assert normalized_edges(coo(1)).weights.tolist() == [1.0]
+        assert normalized_edges(CooGraph(1, [], [])).weights.tolist() == [1.0]
 
     def test_duplicate_edges_count(self):
         # d_0 = 1 (its loop), d_1 = 2 + 1: both copies of 0 -> 1 count
-        g = normalized_edges(coo(2, src=[0, 0], dst=[1, 1]))
+        g = normalized_edges(CooGraph(2, src=[0, 0], dst=[1, 1]))
         assert edge_set(g) == [(0, 0, 1.0), (0, 1, 1 / math.sqrt(3)),
                                (0, 1, 1 / math.sqrt(3)), (1, 1, 1 / math.sqrt(9))]
 
@@ -212,21 +213,21 @@ class TestSymNormCoefficients:
 
     def test_equal_degree_three(self):
         # loops of weight 3 and 2 give d_0 = 3 and d_1 = 1 + 2 = 3
-        g = coo(2, src=[0, 0, 1], dst=[1, 0, 1], weights=[1.0, 3.0, 2.0])
+        g = CooGraph(2, src=[0, 0, 1], dst=[1, 0, 1], weights=[1.0, 3.0, 2.0])
         assert normalized_edges(g).weights[0] == pytest.approx(1 / 3)
 
     def test_self_loop_degree_one(self):
-        g = coo(1, src=[0], dst=[0])
+        g = CooGraph(1, src=[0], dst=[0])
         assert normalized_edges(g).weights.tolist() == [1.0]
 
     def test_mixed_degrees(self):
         # d_0 = 1 from its appended loop, d_1 = 1 + 3
-        g = coo(2, src=[0, 1], dst=[1, 1], weights=[1.0, 3.0])
+        g = CooGraph(2, src=[0, 1], dst=[1, 1], weights=[1.0, 3.0])
         assert normalized_edges(g).weights.tolist() == [0.5, 0.75, 1.0]
 
     def test_zero_degree_rejected(self):
         # node 0's own zero-weight loop leaves it degree 0
-        g = coo(2, src=[0, 0], dst=[1, 0], weights=[1.0, 0.0])
+        g = CooGraph(2, src=[0, 0], dst=[1, 0], weights=[1.0, 0.0])
         with pytest.raises(NormalizationError, match=r"edge 0 \(0 -> 1\)"):
             normalized_edges(g)
 
@@ -245,11 +246,11 @@ class TestSymNormCoefficients:
 
 class TestNormalizedAdjacency:
     def test_single_node(self):
-        a = normalized_csr(coo(1))
+        a = normalized_csr(CooGraph(1, [], []))
         assert csr_to_dense(a).tolist() == [[1.0]]
 
     def test_two_node_bidirectional(self):
-        a = normalized_csr(coo(2, src=[0, 1], dst=[1, 0]))
+        a = normalized_csr(CooGraph(2, src=[0, 1], dst=[1, 0]))
         dense = csr_to_dense(a)
         assert dense.tolist() == [[0.5, 0.5], [0.5, 0.5]]
         assert dense.sum(axis=1).tolist() == [1.0, 1.0]
@@ -283,6 +284,19 @@ class TestProperties:
         assert direct.tobytes() == via_csr.tobytes()
         # and both agree with the edge-walking oracle
         assert np.array_equal(direct, np.array(dense_adjacency(g)).reshape(direct.shape))
+
+    @given(coo_graphs(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_incidence_sums_to_csr_bitwise(self, g, dtype):
+        # MP's layout, added into zeros per (destination, source) in its
+        # storage order, is SpMM's layout: both sum duplicates in edge order
+        g = g.astype(dtype)
+        mp = coo_to_incidence(g)
+        a = mp.incidence
+        rows = np.repeat(np.arange(a.num_rows), np.diff(a.row_ptr))
+        summed = np.zeros((g.num_nodes, g.num_nodes), dtype=dtype)
+        np.add.at(summed, (rows, mp.src), a.values)
+        assert summed.tobytes() == csr_to_dense(coo_to_csr(g)).tobytes()
 
     @given(multigraphs(), st.sampled_from([np.float32, np.float64]), st.data())
     @settings(max_examples=100, deadline=None)
@@ -349,12 +363,12 @@ class TestNodeSort:
 class TestValidation:
     def test_src_out_of_range(self):
         with pytest.raises(FormatError):
-            coo(2, src=[2], dst=[0])
+            CooGraph(2, src=[2], dst=[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, bad):
         with pytest.raises(FormatError, match="edge 1 has non-finite weight"):
-            coo(3, src=[0, 1, 2], dst=[1, 2, 0], weights=[1.0, bad, 1.0])
+            CooGraph(3, src=[0, 1, 2], dst=[1, 2, 0], weights=[1.0, bad, 1.0])
         with pytest.raises(FormatError, match="non-finite"):
             CooGraph(2, np.array([0]), np.array([1]), np.array([bad], np.float32))
 
@@ -384,6 +398,6 @@ class TestValidation:
             CsrGraph(1, 2, row_ptr, col_idx, values)
 
     def test_immutability(self):
-        g = coo(2, src=[0], dst=[1])
+        g = CooGraph(2, src=[0], dst=[1])
         with pytest.raises(ValueError):
             g.src[0] = 1

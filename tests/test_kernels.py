@@ -23,8 +23,8 @@ from oracles import (
 
 from gnnbench.errors import FormatError, IndexRangeError, ShapeError
 from gnnbench.graph import (
+    CooGraph,
     CsrGraph,
-    coo,
     coo_to_csr,
     normalized_edges,
 )
@@ -241,7 +241,7 @@ class TestCrossKernelProperties:
         x = rand((n, 3), seed ^ 0xABCD)
         via_kernels = scatter(index_select(x, idx), incidence(idx, n),
                               ReduceOp.SUM)
-        m = coo_to_csr(coo(n, src=idx, dst=idx))
+        m = coo_to_csr(CooGraph(n, src=idx, dst=idx))
         via_spmm = spmm(m, x)
         oracle = np.array(naive_matmul(dense_from_csr(m), to_lists(x)))
         assert np.abs(via_kernels - oracle).max() <= 1e-12

@@ -16,7 +16,6 @@ from gnnbench.graph import (
     CooGraph,
     CsrGraph,
     add_self_loops,
-    coo,
     coo_to_csr,
     coo_to_dense,
     normalized_edges,
@@ -83,24 +82,25 @@ class TestInitWeights:
 
 class TestGcnLayers:
     def test_mp_single_node_identity(self):
-        g = coo(1)
+        g = CooGraph(1, [], [])
         x = np.array([[2.5, -1.0]])
         out = one_layer("gcn-mp", g, x, theta_params(np.eye(2)))
         assert np.abs(out - x).max() <= 1e-15
 
     def test_mp_two_node_uniform(self):
-        g = coo(2, src=[0, 1], dst=[1, 0])
+        g = CooGraph(2, src=[0, 1], dst=[1, 0])
         out = one_layer("gcn-mp", g, np.array([[1.0], [1.0]]),
                         theta_params([[1.0]]))
         assert np.abs(out - 1.0).max() <= 1e-15
 
     def test_spmm_loop_only_graph(self):
         x = gen_features(5, 3, 1)
-        out = one_layer("gcn-spmm", coo(5), x, theta_params(np.eye(3)))
+        out = one_layer("gcn-spmm", CooGraph(5, [], []), x,
+                        theta_params(np.eye(3)))
         assert np.abs(out - x).max() <= 1e-12
 
     def test_spmm_single_node_relu(self):
-        out = one_layer("gcn-spmm", coo(1), np.array([[2.0]]),
+        out = one_layer("gcn-spmm", CooGraph(1, [], []), np.array([[2.0]]),
                         theta_params([[3.0]]), Activation.RELU)
         assert out.tolist() == [[6.0]]
 
@@ -113,7 +113,7 @@ class TestGcnLayers:
         assert np.abs(a - b).max() <= 1e-9
 
     def test_duplicate_edges_contribute_independently(self):
-        g = coo(2, src=[0, 0, 1], dst=[1, 1, 0])
+        g = CooGraph(2, src=[0, 0, 1], dst=[1, 1, 0])
         x = np.array([[1.0], [2.0]])
         p = theta_params([[1.0]])
         a = one_layer("gcn-mp", g, x, p)
@@ -146,11 +146,12 @@ class TestDegreeProductRange:
 class TestGinLayers:
     def test_mp_no_edges_is_input(self):
         x = gen_features(4, 2, 3)
-        out = one_layer("gin-mp", coo(4), x, theta_params(np.eye(2)))
+        out = one_layer("gin-mp", CooGraph(4, [], []), x,
+                        theta_params(np.eye(2)))
         assert np.abs(out - x).max() == 0.0
 
     def test_mp_two_node_hand_evaluated(self):
-        g = coo(2, src=[0, 1], dst=[1, 0])
+        g = CooGraph(2, src=[0, 1], dst=[1, 0])
         out = one_layer("gin-mp", g, np.array([[1.0], [2.0]]),
                         theta_params([[1.0]]))
         assert out.tolist() == [[3.0], [3.0]]
@@ -158,13 +159,13 @@ class TestGinLayers:
     def test_spmm_no_edges(self):
         x = gen_features(4, 2, 5)
         theta = init_weights(spec_for("gin", "mp", (2, 3)))[0].theta
-        out = one_layer("gin-spmm", coo(4), x, theta_params(theta),
-                        Activation.RELU)
+        out = one_layer("gin-spmm", CooGraph(4, [], []), x,
+                        theta_params(theta), Activation.RELU)
         want = relu(x @ theta)
         assert np.abs(out - want).max() <= 1e-12
 
     def test_spmm_single_node_epsilon(self):
-        out = one_layer("gin-spmm", coo(1), np.array([[1.0]]),
+        out = one_layer("gin-spmm", CooGraph(1, [], []), np.array([[1.0]]),
                         theta_params([[1.0]]), eps=1.0)
         assert out.tolist() == [[2.0]]
 
@@ -181,12 +182,13 @@ class TestGinLayers:
         theta = init_weights(spec_for("gin", "mp", (3, 2)))[0].theta
         want = relu(x @ theta)
         for name in ("gin-mp", "gin-spmm"):
-            out = one_layer(name, coo(6), x, theta_params(theta), Activation.RELU)
+            out = one_layer(name, CooGraph(6, [], []), x, theta_params(theta),
+                            Activation.RELU)
             assert np.abs(out - want).max() <= 1e-12
 
     def test_dataset_self_loops_kept_in_both_models(self):
         # pre-existing loop edges traverse as-is, on top of the (1+eps) term
-        g = coo(3, src=[0, 0, 1, 2, 2], dst=[1, 0, 2, 2, 1])
+        g = CooGraph(3, src=[0, 0, 1, 2, 2], dst=[1, 0, 2, 2, 1])
         x = gen_features(3, 2, 1)
         p = theta_params(init_weights(spec_for("gin", "mp", (2, 2)))[0].theta)
         a = one_layer("gin-mp", g, x, p, eps=0.25)
@@ -199,11 +201,12 @@ class TestGinLayers:
 class TestSageLayer:
     def test_isolated_node_mean_is_self(self):
         x = np.array([[3.0, -2.0]])
-        out = one_layer("sage-mp", coo(1), x, sage_params(np.eye(2), np.eye(2)))
+        out = one_layer("sage-mp", CooGraph(1, [], []), x,
+                        sage_params(np.eye(2), np.eye(2)))
         assert np.abs(out - 2 * x).max() <= 1e-15
 
     def test_two_node_hand_evaluated(self):
-        g = coo(2, src=[0, 1], dst=[1, 0])
+        g = CooGraph(2, src=[0, 1], dst=[1, 0])
         out = one_layer("sage-mp", g, np.array([[0.0], [2.0]]),
                         sage_params([[1.0]], [[1.0]]))
         assert out.tolist() == [[1.0], [3.0]]
@@ -236,8 +239,8 @@ class TestDenseOracle:
 
     def test_weighted_graph_cross_model_consistency(self):
         # weighted edges flow through both computational models identically
-        g = coo(5, src=[0, 1, 2, 3, 1], dst=[1, 2, 3, 4, 2],
-                weights=[0.5, 2.0, 1.5, 3.0, 0.25])
+        g = CooGraph(5, src=[0, 1, 2, 3, 1], dst=[1, 2, 3, 4, 2],
+                     weights=[0.5, 2.0, 1.5, 3.0, 0.25])
         x = gen_features(5, 3, 3)
         p = theta_params(init_weights(spec_for("gcn", "mp", (3, 4)))[0].theta)
         a = one_layer("gcn-mp", g, x, p)
@@ -273,19 +276,20 @@ class TestForward:
         x = gen_features(5, 2, 9)
         spec = spec_for("gcn", "mp", (2, 2, 2, 2), act=IDENT)
         params = [theta_params(np.eye(2))] * 3
-        out = forward(spec, params, coo(5), x)
+        out = forward(spec, params, CooGraph(5, [], []), x)
         assert np.abs(out - x).max() <= 1e-12
 
     def test_dims_chain_mismatch(self):
         spec = spec_for("gcn", "mp", (3, 4))
         with pytest.raises(ShapeError):
-            forward(spec, [theta_params(np.zeros((3, 5)))], coo(2),
-                    np.zeros((2, 3)))
+            forward(spec, [theta_params(np.zeros((3, 5)))],
+                    CooGraph(2, [], []), np.zeros((2, 3)))
 
     def test_wrong_input_width(self):
         spec = spec_for("gcn", "mp", (3, 4))
         with pytest.raises(ShapeError):
-            forward(spec, init_weights(spec), coo(2), np.zeros((2, 2)))
+            forward(spec, init_weights(spec), CooGraph(2, [], []),
+                    np.zeros((2, 2)))
 
     @pytest.mark.parametrize("comp,other", [("mp", "spmm"), ("spmm", "mp")])
     def test_ctx_of_the_other_computational_model_rejected(self, comp, other):
