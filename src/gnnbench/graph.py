@@ -23,14 +23,15 @@ one of its passes, by source, followed by scipy's compiled stable
 transpose and duplicate sum; :func:`coo_to_incidence`, the message-passing
 layout (a :class:`MessagePassing`), is one pass by destination.
 
-All types are immutable after construction and safe to share across
-concurrent executors; every operation here is a pure function.
+The graph types, ``CooGraph``, ``CsrGraph`` and ``MessagePassing``, are
+all immutable after construction, with read-only arrays, and safe to share
+across concurrent executors; each compares equal only to its own type with
+the same bytes. Every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -55,9 +56,9 @@ def _frozen_floats(a) -> np.ndarray:
 
 
 def _bitwise_eq(self, other) -> bool:
-    """The ``__eq__`` of both graph types: the same type, equal integer
-    fields, and arrays of the same dtype, shape and bytes, so ``-0.0`` and
-    ``+0.0`` differ and a float32 copy never equals its float64 source."""
+    """The ``__eq__`` of every graph type: the same type, equal fields, and
+    arrays of the same dtype, shape and bytes, so ``-0.0`` and ``+0.0``
+    differ and a float32 copy never equals its float64 source."""
     if type(other) is not type(self):
         return False
     for f in fields(self):
@@ -177,12 +178,6 @@ class CsrGraph:
     def nnz(self) -> int:
         return len(self.col_idx)
 
-    def astype(self, dtype) -> "CsrGraph":
-        if self.values.dtype == np.dtype(dtype):
-            return self
-        return CsrGraph(self.num_rows, self.num_cols, self.row_ptr,
-                        self.col_idx, self.values.astype(dtype))
-
     __eq__ = _bitwise_eq
 
 
@@ -233,17 +228,24 @@ def coo_to_csr(g: CooGraph) -> CsrGraph:
     return CsrGraph(n, n, row_ptr, cols[:nnz], values)
 
 
-class MessagePassing(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class MessagePassing:
     """Edges as the message-passing model reads them, stably sorted by
-    destination."""
+    destination. The constructor takes ownership of ``src`` and marks it
+    read-only."""
 
     src: np.ndarray       # the source node of each edge, in that order
     incidence: CsrGraph   # destination x edge; values are the edge weights
+
+    def __post_init__(self):
+        object.__setattr__(self, "src", _frozen(self.src))
 
     @property
     def num_rows(self) -> int:
         """The node count: one incidence row per destination."""
         return self.incidence.num_rows
+
+    __eq__ = _bitwise_eq
 
 
 def coo_to_incidence(g: CooGraph) -> MessagePassing:

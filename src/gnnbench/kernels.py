@@ -24,13 +24,15 @@ per call. It is the loop ``csr_array @ x`` reaches, and a contract test
 pins the two to the same bytes, so a scipy release that changes either
 fails the test suite instead of changing outputs; perfbench's reference
 outputs stay on the public ``scipy.sparse`` API. ``spmm`` passes its matrix
-as is; ``scatter`` passes the incidence the caller prepared once per graph
-(see ``gnnbench.models.prepare``), whose row i lists the edges into i in
-ascending edge order with their weights as the values, so a call does no
-sort, count or weight gather and a weighted sum needs no e x f temporary;
-``sgemm`` passes its left operand, in blocks of rows, as a dense CSR that
-keeps explicit zeros, so ``inf * 0`` still yields NaN and the inner
-dimension is summed in ascending order, as in the scalar triple loop.
+as is, and the primitive's shape check is its only one; ``scatter`` hands
+``spmm`` the incidence the caller prepared once per graph (see
+``gnnbench.graph.coo_to_incidence``), whose row i lists the edges into i in
+ascending edge order with their weights as the values, so MP's aggregation
+is the same sparse product as SpMM's, a call does no sort, count or weight
+gather, and a weighted sum needs no e x f temporary; ``sgemm`` passes its
+left operand, in blocks of rows, as a dense CSR that keeps explicit zeros,
+so ``inf * 0`` still yields NaN and the inner dimension is summed in
+ascending order, as in the scalar triple loop.
 
 Each kernel has a companion ``*_counters`` function giving the closed-form
 operation counts of one call. These formulas are the normative definition
@@ -211,7 +213,8 @@ def index_select(x: np.ndarray, index) -> np.ndarray:
 
 def scatter(src: np.ndarray, incidence: CsrGraph,
             op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
-    """Segment-reduce rows of ``src`` onto the rows of ``incidence``.
+    """Segment-reduce rows of ``src`` onto the rows of ``incidence``:
+    ``spmm(incidence, src)``, then the mean's division.
 
     ``incidence`` is a destination x edge matrix with one column per source
     row: ``out[i] = sum_t values[t] * src[col_idx[t]]`` over row ``i``'s
@@ -221,18 +224,9 @@ def scatter(src: np.ndarray, incidence: CsrGraph,
     sum by its entry count. Rows with no entries are zero (isolated nodes
     keep finite embeddings).
     """
-    src = np.asarray(src)
-    if src.ndim != 2:
-        raise ShapeError(f"scatter expects a 2-d source, got shape {src.shape}")
-    if incidence.num_cols != src.shape[0]:
-        raise ShapeError(
-            f"incidence has {incidence.num_cols} columns != source rows "
-            f"{src.shape[0]}"
-        )
     if not isinstance(op, ReduceOp):
         raise ValueError(f"unknown reduce op {op!r}")
-    out = _csr_matmul(incidence.row_ptr, incidence.col_idx, incidence.values,
-                      incidence.num_cols, src)
+    out = spmm(incidence, src)
     if op is ReduceOp.MEAN:
         counts = np.diff(incidence.row_ptr)[:, None]
         np.divide(out, counts.astype(out.dtype), out=out, where=counts > 0)
@@ -287,10 +281,5 @@ def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
 
     Contributions accumulate in CSR storage order.
     """
-    x = np.asarray(x)
-    if x.ndim != 2 or a.num_cols != x.shape[0]:
-        raise ShapeError(
-            f"spmm shape mismatch: {a.num_rows}x{a.num_cols} x {x.shape}"
-        )
-    return _csr_matmul(a.row_ptr, a.col_idx, a.values, a.num_cols, x)
+    return _csr_matmul(a.row_ptr, a.col_idx, a.values, a.num_cols, np.asarray(x))
 

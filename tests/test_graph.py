@@ -134,7 +134,8 @@ def _csr_of(size=3, values=(0.5, 0.0), dtype=np.float64):
     return CsrGraph(3, size, [0, 1, 1, 2], [1, 2], np.array(values, dtype))
 
 
-GRAPH_TYPES = {"coo": _coo_of, "csr": _csr_of}
+GRAPH_TYPES = {"coo": _coo_of, "csr": _csr_of,
+               "mp": lambda **kw: coo_to_incidence(_coo_of(**kw))}
 
 
 class TestBitwiseEquality:

@@ -429,6 +429,17 @@ class TestPrepare:
             assert isinstance(ctx, want)
             assert ctx.num_rows == g.num_nodes
 
+    @pytest.mark.parametrize("name", PIPELINE_NAMES)
+    def test_ctx_is_immutable_and_compares_by_bytes(self, name):
+        # one ctx serves every repeat of a run, so no layer may write to it
+        g = gen_er_graph(12, 0.3, 4)
+        spec = spec_for(*name.split("-"), (3, 3))
+        ctx = prepare(spec, g)
+        assert ctx == prepare(spec, g)
+        if spec.comp_model is CompModel.MP:
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.src[0] = 1
+
 
 def _peak_per_message_byte(model, g, x):
     """``tracemalloc`` peak of a forward over the bytes of one e x f array."""
