@@ -73,8 +73,11 @@ REPORT_VERSION = "1"
 
 OTHER = "other"
 
-# Precision mode -> the dtype a run casts its graph, features and weights to.
-PRECISIONS = {"f64": np.float64, "f32": np.float32}
+# Precision mode -> (the dtype a run casts its graph, features and weights
+# to, the tolerance `gnnbench check` gives its cross-model and
+# dense-reference comparisons). The tolerance is relative: each comparison
+# scales it by max(1, max |reference|).
+PRECISIONS = {"f64": (np.float64, 1e-9), "f32": (np.float32, 1e-4)}
 
 
 @dataclass
@@ -178,7 +181,7 @@ def cast_inputs(spec: ModelSpec, g: CooGraph, x: np.ndarray, precision: str):
     FormatError if an edge weight or feature value overflows it."""
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
-    dtype = PRECISIONS[precision]
+    dtype, _ = PRECISIONS[precision]
     return (_narrowed(lambda: g.astype(dtype), "an edge weight", precision),
             _narrowed(lambda: np.ascontiguousarray(np.asarray(x), dtype=dtype),
                       "a feature value", precision),

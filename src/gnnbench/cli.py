@@ -16,9 +16,12 @@ value go through the same parser; a flag value may start with ``-``, as
 in ``--epsilon -1e-3``. The config file is plain UTF-8 ``key = value``
 lines, where keys equal the long flag names; a ``#`` starts a comment at
 the start of a line or after whitespace, so ``output = out#1.json`` keeps
-its ``#``. The file is named by ``--config`` or the ``GSUITE_CONFIG``
-environment variable. Validation is fail-fast: nothing is computed until
-the whole configuration is resolved and checked.
+its ``#``. The file is named by ``--config``, else by the ``GSUITE_CONFIG``
+environment variable, which ``_resolve_config`` alone reads, so
+:func:`parse_config` and :func:`main` resolve the same configuration.
+Validation is fail-fast: nothing is computed until the whole configuration
+is resolved and checked. A precision's dtype and the tolerance ``check``
+allows it are one ``bench.PRECISIONS`` entry.
 
 ``--dataset`` is classified in one place, ``_dataset_loader``, which checks
 the spec and returns the zero-argument loader of its kind (an ``er:``
@@ -62,11 +65,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONSISTENCY = 4
-
-# Tolerance used by `check` for the cross-model and dense-reference
-# comparisons, one entry per precision in ``bench.PRECISIONS``. It is
-# relative: each comparison scales it by max(1, max |reference|).
-CHECK_TOLERANCE = {"f64": 1e-9, "f32": 1e-4}
 
 # Feature length used for synthetic er: datasets when the optional fifth
 # field is omitted.
@@ -223,21 +221,17 @@ def _parse_args(argv) -> argparse.Namespace:
     return build_parser().parse_args(joined)
 
 
-def parse_config(argv, config_file: Optional[str] = None) -> CliConfig:
-    """Resolve a full CliConfig from flags, config file, and defaults.
-
-    ``config_file`` is a fallback path (normally from ``GSUITE_CONFIG``);
-    an explicit ``--config`` flag wins over it.
-    """
-    return _resolve_config(_parse_args(argv), config_file)
+def parse_config(argv) -> CliConfig:
+    """The CliConfig that :func:`main` runs for ``argv``: flags, then the
+    config file (``--config``, else ``GSUITE_CONFIG``), then defaults."""
+    return _resolve_config(_parse_args(argv))
 
 
-def _resolve_config(args: argparse.Namespace,
-                    config_file: Optional[str]) -> CliConfig:
+def _resolve_config(args: argparse.Namespace) -> CliConfig:
     if args.command == "datasets":
         raise ConfigError("datasets subcommand takes no pipeline configuration")
 
-    path = args.config if args.config is not None else config_file
+    path = args.config if args.config is not None else os.getenv(CONFIG_ENV_VAR)
     file_entries = read_config_file(path) if path else {}
 
     resolved = {}
@@ -380,7 +374,7 @@ def _check_close(name: str, got: np.ndarray, want: np.ndarray, tol: float) -> bo
 def check(cfg: CliConfig) -> int:
     """Equivalence and determinism suite for the configured pipeline."""
     g, x, record = resolve_dataset(cfg)
-    tol = CHECK_TOLERANCE[cfg.precision]
+    _, tol = bench.PRECISIONS[cfg.precision]
     spec = build_model_spec(cfg, x.shape[1])
     g_t, x_t, params = bench.cast_inputs(spec, g, x, cfg.precision)
 
@@ -438,7 +432,7 @@ def main(argv=None) -> int:
         args = _parse_args(argv)
         if args.command == "datasets":
             return datasets()
-        cfg = _resolve_config(args, os.environ.get(CONFIG_ENV_VAR))
+        cfg = _resolve_config(args)
         if args.command == "run":
             return run(cfg)
         return check(cfg)

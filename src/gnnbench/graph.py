@@ -26,7 +26,9 @@ layout (a :class:`MessagePassing`), is one pass by destination.
 The graph types, ``CooGraph``, ``CsrGraph`` and ``MessagePassing``, are
 all immutable after construction, with read-only arrays, and safe to share
 across concurrent executors; each compares equal only to its own type with
-the same bytes. Every operation here is a pure function.
+the same bytes. :func:`frozen` and :func:`bitwise_eq` are those two
+contracts, public so that ``models.LayerParams`` keeps them too. Every
+operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .errors import CapacityError, FormatError, NormalizationError
 DEFAULT_DENSE_LIMIT = 4096
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array; one that is already
+    C-contiguous is marked read-only in place, not copied."""
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
@@ -52,22 +56,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _frozen_floats(a) -> np.ndarray:
     """``a`` as a read-only float array; any other dtype becomes float64."""
     a = np.asarray(a)
-    return _frozen(a if a.dtype.kind == "f" else a.astype(np.float64))
+    return frozen(a if a.dtype.kind == "f" else a.astype(np.float64))
 
 
-def _bitwise_eq(self, other) -> bool:
-    """The ``__eq__`` of every graph type: the same type, equal fields, and
-    arrays of the same dtype, shape and bytes, so ``-0.0`` and ``+0.0``
-    differ and a float32 copy never equals its float64 source."""
-    if type(other) is not type(self):
-        return False
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        same = ((a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-                if isinstance(a, np.ndarray) else a == b)
-        if not same:
-            return False
-    return True
+def _contents(v):
+    return (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+
+def bitwise_eq(self, other) -> bool:
+    """The ``__eq__`` of every graph type and of ``models.LayerParams``: the
+    same type, equal fields, and arrays of the same dtype, shape and bytes,
+    so ``-0.0`` and ``+0.0`` differ and a float32 copy never equals its
+    float64 source."""
+    return type(other) is type(self) and all(
+        _contents(getattr(self, f.name)) == _contents(getattr(other, f.name))
+        for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +86,8 @@ class CooGraph:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        src = _frozen(np.asarray(self.src, dtype=np.int64))
-        dst = _frozen(np.asarray(self.dst, dtype=np.int64))
+        src = frozen(np.asarray(self.src, dtype=np.int64))
+        dst = frozen(np.asarray(self.dst, dtype=np.int64))
         weights = _frozen_floats(np.ones(len(src)) if self.weights is None
                                  else self.weights)
         object.__setattr__(self, "src", src)
@@ -118,7 +121,7 @@ class CooGraph:
         return CooGraph(self.num_nodes, self.src, self.dst,
                         self.weights.astype(dtype))
 
-    __eq__ = _bitwise_eq
+    __eq__ = bitwise_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +141,8 @@ class CsrGraph:
     values: np.ndarray
 
     def __post_init__(self):
-        row_ptr = _frozen(np.asarray(self.row_ptr, dtype=np.int64))
-        col_idx = _frozen(np.asarray(self.col_idx, dtype=np.int64))
+        row_ptr = frozen(np.asarray(self.row_ptr, dtype=np.int64))
+        col_idx = frozen(np.asarray(self.col_idx, dtype=np.int64))
         values = _frozen_floats(self.values)
         object.__setattr__(self, "row_ptr", row_ptr)
         object.__setattr__(self, "col_idx", col_idx)
@@ -178,7 +181,7 @@ class CsrGraph:
     def nnz(self) -> int:
         return len(self.col_idx)
 
-    __eq__ = _bitwise_eq
+    __eq__ = bitwise_eq
 
 
 def _node_sort(nodes: np.ndarray, n: int, cols: np.ndarray,
@@ -238,14 +241,14 @@ class MessagePassing:
     incidence: CsrGraph   # destination x edge; values are the edge weights
 
     def __post_init__(self):
-        object.__setattr__(self, "src", _frozen(self.src))
+        object.__setattr__(self, "src", frozen(self.src))
 
     @property
     def num_rows(self) -> int:
         """The node count: one incidence row per destination."""
         return self.incidence.num_rows
 
-    __eq__ = _bitwise_eq
+    __eq__ = bitwise_eq
 
 
 def coo_to_incidence(g: CooGraph) -> MessagePassing:
@@ -330,5 +333,7 @@ __all__ = [
     "coo_to_dense",
     "add_self_loops",
     "normalized_edges",
+    "bitwise_eq",
+    "frozen",
     "DEFAULT_DENSE_LIMIT",
 ]

@@ -47,7 +47,7 @@ bias terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -60,8 +60,10 @@ from .graph import (
     CsrGraph,
     MessagePassing,
     add_self_loops,
+    bitwise_eq,
     coo_to_csr,
     coo_to_incidence,
+    frozen,
     normalized_edges,
 )
 from .kernels import ReduceOp
@@ -169,19 +171,27 @@ class ModelSpec:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerParams:
     """Per-layer weights; which matrices are present depends on the model.
 
     GCN and GIN carry ``theta`` only; SAGE carries ``w1`` (self) and ``w2``
     (neighbor). The paper-level scalar weights of SAGE are generalized to
     full matrices so layers can change feature width; a scalar is the 1x1
-    special case.
+    special case. As the graph types do, the constructor takes ownership
+    of its matrices and marks them read-only, and ``==`` compares bytes.
     """
 
     theta: Optional[np.ndarray] = None
     w1: Optional[np.ndarray] = None
     w2: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, frozen(getattr(self, f.name)))
+
+    __eq__ = bitwise_eq
 
     def astype(self, dtype) -> "LayerParams":
         cast = lambda m: None if m is None else m.astype(dtype, copy=False)

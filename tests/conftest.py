@@ -1,8 +1,19 @@
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from gnnbench.cli import CONFIG_ENV_VAR
 from gnnbench.graph import CooGraph
 from gnnbench.models import Activation, CompModel, Model, ModelSpec, forward
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_config_file_from_env():
+    # a GSUITE_CONFIG in the caller's environment would change what every
+    # parse_config and main call resolves
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV_VAR, raising=False)
+        yield
 
 
 @st.composite

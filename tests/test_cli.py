@@ -80,9 +80,23 @@ class TestParseConfig:
         flag_conf = tmp_path / "flag.conf"
         flag_conf.write_text("repeats = 7\n")
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(env_conf))
-        cfg = cli.parse_config(["run", "--config", str(flag_conf)],
-                               config_file=str(env_conf))
+        cfg = cli.parse_config(["run", "--config", str(flag_conf)])
         assert cfg.repeats == 7
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_parse_config_resolves_what_main_runs(self, command, tmp_path,
+                                                   monkeypatch):
+        # the traced benchmark run calls parse_config where the untraced
+        # one calls main, so both must read the file GSUITE_CONFIG names
+        conf = tmp_path / "env.conf"
+        conf.write_text("repeats = 5\nprecision = f32\n")
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(conf))
+        ran = []
+        monkeypatch.setattr(cli, command, lambda cfg: ran.append(cfg) or 0)
+        argv = [command, "--dataset", "er:16:0.2:1"]
+        assert cli.main(argv) == 0
+        assert ran == [cli.parse_config(argv)]
+        assert (ran[0].repeats, ran[0].precision) == (5, "f32")
 
     def test_empty_config_file_gives_defaults(self, tmp_path):
         conf = tmp_path / "bench.conf"
@@ -598,19 +612,24 @@ class TestPipelineRule:
 
 
 class TestPrecisions:
-    def test_check_tolerance_per_precision(self):
-        assert set(cli.CHECK_TOLERANCE) == set(bench.PRECISIONS)
-
     @pytest.mark.parametrize("precision", sorted(bench.PRECISIONS))
     def test_cast_inputs(self, precision):
         spec = ModelSpec(Model.SAGE, CompModel.MP, 1, (3, 2))
         g = gen_er_graph(6, 0.5, 1)
         x = np.asfortranarray(gen_features(6, 3, 1))
         g_t, x_t, params = bench.cast_inputs(spec, g, x, precision)
-        dtype = bench.PRECISIONS[precision]
+        dtype, _ = bench.PRECISIONS[precision]
         assert g_t.weights.dtype == dtype
         assert x_t.dtype == dtype and x_t.flags.c_contiguous
         assert all(m.dtype == dtype for p in params for m in (p.w1, p.w2))
+
+    @pytest.mark.parametrize("precision", sorted(bench.PRECISIONS))
+    def test_cast_weights_are_read_only(self, precision):
+        # the weights of a run serve every repeat, at either precision
+        spec = ModelSpec(Model.GCN, CompModel.MP, 2, (3, 4, 2))
+        _, _, params = bench.cast_inputs(spec, gen_er_graph(6, 0.5, 1),
+                                         gen_features(6, 3, 1), precision)
+        assert not any(p.theta.flags.writeable for p in params)
 
     def test_f32_overflow_is_a_data_error(self, tmp_path, capsys):
         # a feature beyond the float32 range would become inf, and the run

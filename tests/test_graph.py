@@ -189,7 +189,7 @@ def normalized_csr(g):
     return coo_to_csr(normalized_edges(g))
 
 
-class TestComputeDegrees:
+class TestNormalizedDegrees:
     """Weighted in-degrees of the self-looped graph, read through the
     normalized weights ``w / sqrt(d_src * d_dst)``."""
 

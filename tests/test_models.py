@@ -79,6 +79,27 @@ class TestInitWeights:
         assert sage.theta is None and sage.w1 is not None and sage.w2 is not None
         assert sage.w1.tobytes() != sage.w2.tobytes()
 
+    @pytest.mark.parametrize("name", PIPELINE_NAMES)
+    def test_params_compare_by_bytes(self, name):
+        spec = spec_for(*name.split("-"), (4, 8, 2))
+        assert init_weights(spec) == init_weights(spec)
+        assert init_weights(spec) != init_weights(spec_for(*name.split("-"),
+                                                           (4, 8, 2), seed=1))
+
+    def test_params_of_another_dtype_or_roles_differ(self):
+        (p,) = init_weights(spec_for("gcn", "mp", (4, 8)))
+        assert p.astype(np.float32) != p
+        assert p.astype(np.float64) == p
+        # theta against SAGE's absent theta, and w1 and w2 the other way
+        assert p != LayerParams(w1=p.theta, w2=p.theta)
+
+    def test_params_are_read_only(self):
+        # one params list serves every repeat of a run, so no layer may
+        # write to it
+        p = init_weights(spec_for("gcn", "mp", (4, 8, 2)))[0]
+        with pytest.raises(ValueError, match="read-only"):
+            p.theta[0, 0] = 1.0
+
 
 class TestGcnLayers:
     def test_mp_single_node_identity(self):
