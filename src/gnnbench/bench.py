@@ -3,8 +3,10 @@
 An instrumented run executes the configured forward pass a number of times
 (three by default, reporting per-repeat means), timing every core-kernel
 invocation with a monotonic clock and attributing analytic operation counts
-per call. Everything else inside a forward pass (activations, GIN's and
-SAGE's combine steps, bookkeeping) lands in the ``other`` category, so the
+per call. The kernels, their order and each call's counters are those of
+``gnnbench.kernels.KERNELS``; this module names no kernel argument.
+Everything else inside a forward pass (activations, GIN's and SAGE's
+combine steps, bookkeeping) lands in the ``other`` category, so the
 per-kernel means plus ``other`` sum to ``end_to_end_ns``. The per-edge
 scaling of GCN-MP and GIN-MP is not in ``other``: ``scatter`` multiplies
 each message by its incidence value as it sums, and its counters leave
@@ -50,7 +52,7 @@ from . import kernels, models
 from .data import DatasetRecord
 from .errors import ConsistencyError, FormatError
 from .graph import CooGraph
-from .kernels import OpCounters, ReduceOp
+from .kernels import OpCounters
 from .models import ModelSpec
 
 __all__ = [
@@ -123,33 +125,22 @@ class RunReport:
         }
 
 
-# Closed-form counters of one call, from the same arguments as the kernel.
-_COUNTERS = {
-    "index_select": lambda x, index:
-        kernels.index_select_counters(len(index), x.shape[1]),
-    # the per-edge weight multiplies are not counted (see gnnbench.kernels)
-    "scatter": lambda src, incidence, op=ReduceOp.SUM:
-        kernels.scatter_counters(src.shape[0], src.shape[1], incidence.num_rows, op),
-    "sgemm": lambda a, b: kernels.sgemm_counters(a.shape[0], a.shape[1], b.shape[1]),
-    "spmm": lambda a, x: kernels.spmm_counters(a.num_rows, a.nnz, x.shape[1]),
-}
-
-KERNEL_ORDER = tuple(_COUNTERS)
+KERNEL_ORDER = tuple(kernels.KERNELS)
 
 
 class Instrumentation:
     """Kernel dispatcher that times calls and attributes operation counts.
 
     Duck-types the :mod:`gnnbench.kernels` entry points the pipelines call
-    (one attribute per ``KERNEL_ORDER`` name) so pipeline code can run
-    against either the bare module or an instance of this class.
+    (one attribute per ``kernels.KERNELS`` entry, read when the instance is
+    made) so pipeline code can run against either the bare module or an
+    instance of this class.
     """
 
     def __init__(self):
         self._stats: dict = {}  # name -> (calls, ns, counters)
-        for name, counters_fn in _COUNTERS.items():
-            setattr(self, name,
-                    self._timed(name, getattr(kernels, name), counters_fn))
+        for name, (kernel, _, counters_fn) in kernels.KERNELS.items():
+            setattr(self, name, self._timed(name, kernel, counters_fn))
 
     def _timed(self, name, kernel, counters_fn):
         def call(*args, **kwargs):

@@ -6,7 +6,8 @@ Subcommands:
   write a JSON or CSV report.
 - ``check``: run the determinism / cross-model / dense-reference
   equivalence suite on the configured pipeline and print pass/fail lines.
-- ``datasets``: print the dataset registry and the core-kernel legend.
+- ``datasets``: print the dataset registry and the core-kernel legend,
+  each kernel with its short form as ``gnnbench.kernels.KERNELS`` lists it.
 
 Each parameter is one :class:`CliConfig` field, which declares its
 default and its parser; the flags and the config-file keys are derived from
@@ -20,8 +21,9 @@ its ``#``. The file is named by ``--config``, else by the ``GSUITE_CONFIG``
 environment variable, which ``_resolve_config`` alone reads, so
 :func:`parse_config` and :func:`main` resolve the same configuration.
 Validation is fail-fast: nothing is computed until the whole configuration
-is resolved and checked. A precision's dtype and the tolerance ``check``
-allows it are one ``bench.PRECISIONS`` entry.
+is resolved and checked, so an empty ``output`` is a configuration error
+rather than a path that fails after the run. A precision's dtype and the
+tolerance ``check`` allows it are one ``bench.PRECISIONS`` entry.
 
 ``--dataset`` is classified in one place, ``_dataset_loader``, which checks
 the spec and returns the zero-argument loader of its kind (an ``er:``
@@ -29,8 +31,12 @@ generator, a file pair's reader, or a registry preset's, which fails with
 a data error); resolving the configuration only classifies, and
 :func:`resolve_dataset` calls the loader.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error,
-4 internal consistency (determinism or equivalence) failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 data error
+(an unreadable or malformed input, or an allocation numpy is refused, such
+as the weights of a huge ``--hidden``), 4 internal consistency (determinism
+or equivalence) failure. An allocation the operating system grants but
+cannot back can still end the process in an out-of-memory kill, which no
+handler sees.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bench, data, models, reference
+from . import bench, data, kernels, models, reference
 from .errors import (
     CapacityError,
     ConfigError,
@@ -133,6 +139,12 @@ def _text(key, value) -> str:
     return value
 
 
+def _path(key, value) -> str:
+    if not value:
+        raise ConfigError(f"{key}: expected a path, or - for stdout, got ''")
+    return value
+
+
 @dataclasses.dataclass
 class CliConfig:
     """Every pipeline setting; each is a flag and a config-file key alike."""
@@ -148,7 +160,7 @@ class CliConfig:
     repeats: int = _count(3, minimum=1)
     seed: int = _setting(0, _parse_seed, metavar="U64")
     precision: str = _choice("f64", bench.PRECISIONS)
-    output: str = _setting("-", _text, help="report path, or - for stdout")
+    output: str = _setting("-", _path, help="report path, or - for stdout")
     format: str = _choice("json", bench.REPORT_WRITERS)
     warmup: int = _count(0, minimum=0)
 
@@ -414,12 +426,13 @@ def datasets() -> int:
         print(f"{r.name:<12} {r.short_form:<5} {r.num_nodes:>9} "
               f"{r.feature_length:>9} {r.num_edges:>11}")
     print()
-    print("core kernels: index_select (is), scatter (sc), sgemm (sg), spmm (sp)")
+    print("core kernels: " + ", ".join(
+        f"{name} ({short})" for name, (_, short, _) in kernels.KERNELS.items()))
     return EXIT_OK
 
 
 _DATA_ERRORS = (FormatError, ShapeError, IndexRangeError, NormalizationError,
-                OSError)
+                OSError, MemoryError)
 
 # The exit code of each error kind, first match wins.
 _ERROR_EXITS = ((ConfigError, EXIT_USAGE), (_DATA_ERRORS, EXIT_DATA),

@@ -50,6 +50,12 @@ spmm            2*nnz*f     nnz*(f+1)     nnz*(f+1) + nnz*f   n*f
 
 The scatter rows count the accumulation adds only: a weighted scatter's e*f
 multiplies are not counted.
+
+:data:`KERNELS` is the one list of the kernels: it maps each name, in report
+order, to the kernel, its legend short form and the counters of one call,
+which it reads from the call's own arguments through the closed forms above.
+``gnnbench.bench`` instruments one kernel per entry, and ``gnnbench
+datasets`` prints its legend from it.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ __all__ = [
     "scatter_counters",
     "sgemm_counters",
     "spmm_counters",
+    "KERNELS",
 ]
 
 
@@ -283,3 +290,16 @@ def spmm(a: CsrGraph, x: np.ndarray) -> np.ndarray:
     """
     return _csr_matmul(a.row_ptr, a.col_idx, a.values, a.num_cols, np.asarray(x))
 
+
+# name -> (kernel, legend short form, OpCounters of one call from the call's
+# own arguments), in report order.
+KERNELS = {
+    "index_select": (index_select, "is", lambda x, index:
+                     index_select_counters(len(index), x.shape[1])),
+    # the per-edge weight multiplies are not counted (see the table above)
+    "scatter": (scatter, "sc", lambda src, incidence, op=ReduceOp.SUM:
+                scatter_counters(src.shape[0], src.shape[1], incidence.num_rows, op)),
+    "sgemm": (sgemm, "sg",
+              lambda a, b: sgemm_counters(a.shape[0], a.shape[1], b.shape[1])),
+    "spmm": (spmm, "sp", lambda a, x: spmm_counters(a.num_rows, a.nnz, x.shape[1])),
+}

@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from gnnbench import bench, cli, data, reference
+from gnnbench import bench, cli, data, kernels, models, reference
 from gnnbench.bench import parse_report_json
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, FormatError
 from gnnbench.graph import CooGraph
+from gnnbench.kernels import OpCounters
 from gnnbench.models import CompModel, Model, ModelSpec
 
 
@@ -480,7 +481,17 @@ class TestPinnedChecks:
         assert digest == PINNED_CHECKS[f"{name}-{precision}"]
 
 
+# SHA-256 of `gnnbench datasets`' stdout: the registry table, then the
+# kernel legend.
+PINNED_DATASETS = "6a495c77f56608815ee4192d939f65fa98027d3b09ed6261ba4b1b92aac41228"
+
+
 class TestDatasetsCommand:
+    def test_output_keeps_its_bytes(self, capsys):
+        assert cli.main(["datasets"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == PINNED_DATASETS
+
     def test_registry_rows(self, capsys):
         assert cli.main(["datasets"]) == 0
         out = capsys.readouterr().out
@@ -524,6 +535,37 @@ class TestExitCodes:
         dataset = f"{tmp_path / 'edges.txt'},{tmp_path / 'x.csv'}"
         assert cli.main(["run", "--dataset", dataset]) == 3
         assert f"{tmp_path / bad}: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("form", ["flag", "flag-pair", "file"])
+    def test_empty_output_fails_before_drawing(self, command, form, tmp_path,
+                                               monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("drew a dataset for a run with no report path")
+        monkeypatch.setattr(data, "gen_er_graph", no_draw)
+        monkeypatch.setattr(data, "gen_features", no_draw)
+        conf = tmp_path / "bench.conf"
+        conf.write_text("output =\n")
+        output = {"flag": ["--output="], "flag-pair": ["--output", ""],
+                  "file": ["--config", str(conf)]}[form]
+        assert cli.main([command, "--dataset", "er:8:0.3:1", *output]) == \
+            cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err == \
+            "error: output: expected a path, or - for stdout, got ''\n"
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_refused_allocation_is_data_error(self, command, monkeypatch, capsys):
+        # what numpy raises for a 40000 x 40000 layer under a 3 GB address
+        # space limit; nothing that large is allocated here
+        message = ("Unable to allocate 11.9 GiB for an array with shape "
+                   "(1600000000,) and data type float64")
+
+        def refuse(spec):
+            raise MemoryError(message)
+        monkeypatch.setattr(models, "init_weights", refuse)
+        assert cli.main([command, "--dataset", "er:8:0.3:1", "--hidden", "40000"]) \
+            == cli.EXIT_DATA == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_node_index_beyond_int64_is_data_error(self, tmp_path, capsys):
         # line 1 holds the largest int64, line 2 one more
@@ -662,6 +704,30 @@ class TestKernelLegend:
         assert shorts == ["is", "sc", "sg", "sp"]
         for short in shorts:
             assert legend.count(f"({short})") == 1
+
+
+class TestKernelTable:
+    """``kernels.KERNELS`` alone decides which kernels are instrumented and
+    which the legend lists."""
+
+    def test_instrumentation_and_legend_follow_the_table(self, monkeypatch,
+                                                         capsys):
+        def double(x):
+            return 2 * x
+        monkeypatch.setattr(kernels, "KERNELS", {
+            "sgemm": kernels.KERNELS["sgemm"],
+            "double": (double, "db", lambda x: OpCounters(fp_ops=x.size)),
+        })
+        instr = bench.Instrumentation()
+        assert sorted(n for n in vars(instr) if not n.startswith("_")) == \
+            ["double", "sgemm"]
+        assert instr.double(np.ones(3)).tolist() == [2.0, 2.0, 2.0]
+        calls, _, counters = instr.snapshot()["double"]
+        assert (calls, counters) == (1, OpCounters(fp_ops=3))
+
+        assert cli.main(["datasets"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "core kernels: sgemm (sg), double (db)"
 
 
 class TestErPairCap:

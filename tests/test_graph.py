@@ -208,7 +208,7 @@ class TestNormalizedDegrees:
                                (0, 1, 1 / math.sqrt(3)), (1, 1, 1 / math.sqrt(9))]
 
 
-class TestSymNormCoefficients:
+class TestNormalizedWeights:
     """Each weight scaled by 1/sqrt(d_src * d_dst), and the edges whose
     scaled weight is out of range rejected."""
 
