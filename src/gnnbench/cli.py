@@ -21,9 +21,10 @@ its ``#``. The file is named by ``--config``, else by the ``GSUITE_CONFIG``
 environment variable, which ``_resolve_config`` alone reads, so
 :func:`parse_config` and :func:`main` resolve the same configuration.
 Validation is fail-fast: nothing is computed until the whole configuration
-is resolved and checked, so an empty ``output`` is a configuration error
-rather than a path that fails after the run. A precision's dtype and the
-tolerance ``check`` allows it are one ``bench.PRECISIONS`` entry.
+is resolved and checked, so an ``output`` that is empty, names a directory
+or lies in a missing one is a configuration error rather than a path that
+fails after the run. A precision's dtype and the tolerance ``check`` allows
+it are one ``bench.PRECISIONS`` entry.
 
 ``--dataset`` is classified in one place, ``_dataset_loader``, which checks
 the spec and returns the zero-argument loader of its kind (an ``er:``
@@ -140,8 +141,16 @@ def _text(key, value) -> str:
 
 
 def _path(key, value) -> str:
+    # the report is written after the run, so a path it cannot take fails
+    # here, before anything is drawn
     if not value:
         raise ConfigError(f"{key}: expected a path, or - for stdout, got ''")
+    if value == "-":
+        return value
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise ConfigError(f"{key}: the directory of {value!r} does not exist")
+    if os.path.isdir(value):
+        raise ConfigError(f"{key}: {value!r} is a directory, not a report path")
     return value
 
 
@@ -254,8 +263,6 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
         if value is not None:
             resolved[f.name] = f.metadata["parse"](f.name, value)
     cfg = CliConfig(**resolved)
-
-    models.pipeline_for(models.Model(cfg.model), models.CompModel(cfg.comp))
     _dataset_loader(cfg.dataset)  # fail fast on malformed dataset syntax
     return cfg
 
@@ -399,15 +406,11 @@ def check(cfg: CliConfig) -> int:
                           "two executions are bitwise identical" if same
                           else "outputs differ between executions")
 
-    others = [c for c in models.CompModel
-              if c is not spec.comp_model and (spec.model, c) in models.PIPELINES]
-    for other in others:
-        spec_b = dataclasses.replace(spec, comp_model=other)
-        out_b = models.forward(spec_b, params, g_t, x_t)
-        all_ok &= _check_close(f"cross-model {cfg.comp} vs {other.value}",
-                               out1, out_b, tol)
-    if not others:
-        print(f"SKIP cross-model: {cfg.model} has a single computational model")
+    (other,) = (c for c in models.CompModel if c is not spec.comp_model)
+    out_b = models.forward(dataclasses.replace(spec, comp_model=other), params,
+                           g_t, x_t)
+    all_ok &= _check_close(f"cross-model {cfg.comp} vs {other.value}", out1, out_b,
+                           tol)
 
     try:
         ref = reference.dense_forward(spec, params, g, np.asarray(x, np.float64))

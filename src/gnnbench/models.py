@@ -1,8 +1,8 @@
 """GNN layers and multi-layer pipelines under two computational models.
 
 Three models (GCN, GIN, GraphSAGE) are each expressed over the core
-kernels, under the message-passing (MP) model and, for GCN and GIN, the
-sparse-matrix (SpMM) model as well:
+kernels, under both the message-passing (MP) and the sparse-matrix (SpMM)
+model:
 
 - GCN-MP: per-node update ``act( sum_{u in N(v)+{v}} x_u Theta / sqrt(d_u d_v) )``,
   realized as linear transform, gather by edge source, then a scatter-sum
@@ -16,8 +16,10 @@ sparse-matrix (SpMM) model as well:
   the self contribution, so no self-loops are inserted).
 - GIN-SpMM: ``act( (A + (1 + eps) I) @ X @ Theta )``.
 - SAGE-MP: ``act( X @ W1 + neighbor_mean @ W2 )`` with the mean taken over
-  ``N(v) + {v}`` (self-loops inserted). SAGE has no SpMM formulation here,
-  and requesting one is rejected.
+  ``N(v) + {v}`` (self-loops inserted).
+- SAGE-SpMM: ``act( X @ W1 + (D^-1 A_hat) @ X @ W2 )``, the mean as the
+  row-normalized self-looped adjacency, each edge's unit weight divided by
+  its destination's looped in-degree with duplicate edges counted.
 
 Each pipeline is one table entry: the edge list its layers aggregate over
 and its layer update, which computes a layer's output before the activation
@@ -77,7 +79,6 @@ __all__ = [
     "LayerParams",
     "Pipeline",
     "PIPELINES",
-    "pipeline_for",
     "init_weights",
     "prepare",
     "forward",
@@ -157,7 +158,6 @@ class ModelSpec:
         # the weight streams keep only the seed's low 64 bits
         if not 0 <= self.seed <= MASK64:
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
-        pipeline_for(self.model, self.comp_model)
 
     def summary(self) -> dict:
         return {
@@ -228,6 +228,16 @@ def _sage_edges(g: CooGraph, epsilon: float) -> CooGraph:
                     np.ones(looped.num_edges, dtype=looped.weights.dtype))
 
 
+def _sage_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
+    # the neighbor mean as an operator: each looped edge weighs one over its
+    # destination's looped in-degree, duplicates counted, since the CSR
+    # coalesces them; the division stays in the weights' dtype
+    looped = _sage_edges(g, epsilon)
+    degrees = np.bincount(looped.dst, minlength=looped.num_nodes)[looped.dst]
+    return CooGraph(looped.num_nodes, looped.src, looped.dst,
+                    looped.weights / degrees.astype(looped.weights.dtype))
+
+
 def _gin_spmm_edges(g: CooGraph, epsilon: float) -> CooGraph:
     # A + (1 + eps) I: the raw edges, then one 1 + eps loop per node
     nodes = np.arange(g.num_nodes, dtype=np.int64)
@@ -260,6 +270,10 @@ def _sage_mp_update(ctx, x, p, epsilon, k):
     return k.sgemm(x, p.w1) + k.sgemm(mean, p.w2)
 
 
+def _sage_spmm_update(ctx, x, p, epsilon, k):
+    return k.sgemm(x, p.w1) + k.sgemm(k.spmm(ctx, x), p.w2)
+
+
 class Pipeline(NamedTuple):
     """How one (model, computational model) pair is built and run."""
 
@@ -281,6 +295,8 @@ PIPELINES = {
     (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_update, _THETA),
     (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_update,
                                          _SELF_AND_NEIGHBOR),
+    (Model.SAGE, CompModel.SPMM): Pipeline(_sage_spmm_edges, _sage_spmm_update,
+                                           _SELF_AND_NEIGHBOR),
 }
 
 
@@ -290,17 +306,6 @@ PIPELINES = {
 # canonical CSR.
 _LAYOUT = {CompModel.MP: (MessagePassing, coo_to_incidence),
            CompModel.SPMM: (CsrGraph, coo_to_csr)}
-
-
-def pipeline_for(model: Model, comp: CompModel) -> Pipeline:
-    """The table entry of ``(model, comp)``; ConfigError if there is none."""
-    try:
-        return PIPELINES[model, comp]
-    except KeyError:
-        raise ConfigError(
-            f"{model.value} has no {comp.value} formulation; implemented "
-            "pipelines: " + ", ".join(f"{m.value}-{c.value}" for m, c in PIPELINES)
-        ) from None
 
 
 def prepare(spec: ModelSpec, g: CooGraph) -> MessagePassing | CsrGraph:

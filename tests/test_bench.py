@@ -40,18 +40,22 @@ def predict_counters(spec, g, x):
     for layer in range(spec.num_layers):
         f_in, f_out = spec.dims[layer], spec.dims[layer + 1]
         if spec.comp_model is CompModel.SPMM:
-            if spec.model is Model.GCN:
-                src = np.concatenate([g.src, np.setdiff1d(np.arange(n), sorted(loops_present))])
-                dst = np.concatenate([g.dst, np.setdiff1d(np.arange(n), sorted(loops_present))])
-                nnz = unique_pairs(src, dst)
-            else:
+            if spec.model is Model.GIN:
                 all_nodes = np.arange(n)
                 nnz = unique_pairs(np.concatenate([g.src, all_nodes]),
                                    np.concatenate([g.dst, all_nodes]))
+            else:  # GCN and SAGE: the self-looped edges
+                src = np.concatenate([g.src, np.setdiff1d(np.arange(n), sorted(loops_present))])
+                dst = np.concatenate([g.dst, np.setdiff1d(np.arange(n), sorted(loops_present))])
+                nnz = unique_pairs(src, dst)
             add("spmm", OpCounters(2 * nnz * f_in, nnz * (f_in + 1),
                                    nnz * (f_in + 1) + nnz * f_in, n * f_in))
-            add("sgemm", OpCounters(2 * n * f_in * f_out, n * f_out,
-                                    2 * n * f_in * f_out, n * f_out))
+            # SAGE transforms the node itself and the mean
+            products = 2 if spec.model is Model.SAGE else 1
+            add("sgemm", OpCounters(products * 2 * n * f_in * f_out,
+                                    products * n * f_out,
+                                    products * 2 * n * f_in * f_out,
+                                    products * n * f_out))
         elif spec.model is Model.GCN:
             e = e_looped
             add("sgemm", OpCounters(2 * n * f_in * f_out, n * f_out,
@@ -135,7 +139,7 @@ class TestInstrumentedRun:
 
     @pytest.mark.parametrize("model,comp", [
         ("gcn", "mp"), ("gcn", "spmm"), ("gin", "mp"), ("gin", "spmm"),
-        ("sage", "mp"),
+        ("sage", "mp"), ("sage", "spmm"),
     ])
     def test_counters_match_closed_form(self, model, comp):
         g = gen_er_graph(24, 0.3, 7)

@@ -122,10 +122,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="integer"):
             cli.parse_config(["run", "--config", str(conf)])
 
-    def test_sage_spmm_rejected_with_constraint(self):
-        with pytest.raises(ConfigError, match="no.*spmm formulation"):
-            cli.parse_config(["run", "--model", "sage", "--comp", "spmm"])
-
     def test_seed_beyond_64_bits_rejected(self, capsys):
         # streams keep only the low 64 bits, so 5 + 2**64 would silently
         # reuse seed 5's data under another recorded seed
@@ -325,6 +321,15 @@ class TestCheckCommand:
         assert cli.main(["check", "--dataset", "er:16:0.2:3"]) == 0
         assert "cross-model" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("precision", sorted(bench.PRECISIONS))
+    @pytest.mark.parametrize("comp,other", [("mp", "spmm"), ("spmm", "mp")])
+    def test_sage_cross_model_passes(self, comp, other, precision, capsys):
+        assert cli.main(["check", "--dataset", "er:24:0.2:3", "--model", "sage",
+                         "--comp", comp, "--precision", precision]) == 0
+        out = capsys.readouterr().out
+        assert f"PASS cross-model {comp} vs {other}: " in out
+        assert "FAIL" not in out and "SKIP" not in out
+
     def test_f32_tolerance_used(self, capsys):
         assert cli.main(["check", "--dataset", "er:16:0.2:3",
                          "--precision", "f32"]) == 0
@@ -420,6 +425,7 @@ PINNED_REPORTS = {
     "gin-mp": "e09a22eb80aed625dcd82c2e2a830e894679b9af531f2e96aabd31b499083da1",
     "gin-spmm": "65b3a5b2fb7920d133c8c7b61e3a0ab0f90f8d9f7fbb94483013b861474eee53",
     "sage-mp": "5cf1213676b90e505d05c9c65095910dc53a3b58fa4c4a6cec7f0579f73352f9",
+    "sage-spmm": "91abac8a8652fb92de0bc0ae97e6369f16e8511552eb45efdd3bafa0d00fe2b1",
 }
 
 
@@ -463,8 +469,10 @@ PINNED_CHECKS = {
     "gin-mp-f32": "9ce546a3d5906d0e778453cbb530472d5c08f7a0a7871b596a0de41fdb9e32c1",
     "gin-spmm-f64": "dbba031ea095add99a7d81174e6113af4fc796b04d620f55a8d2b5e771074b35",
     "gin-spmm-f32": "091b8026d4a2d73bc3f12c8c990821961336baa16e00c0cde4009027c519c9fe",
-    "sage-mp-f64": "e9d1a0fe93907a2eb90f9032dd962e546bf298dc3be73754af4029ae076501b6",
-    "sage-mp-f32": "4c86e5c72e672329e70fbc97385a606b73e5da5e3ace0a7583d70f00c4e5eaae",
+    "sage-mp-f64": "826975d3ec7a537f4db7ef8b3eca835bcccd3febdc697034b2ec06f91079b08e",
+    "sage-mp-f32": "ad472c211b094b95473509d86674a8f782354a03b564adcc21966293836c28fc",
+    "sage-spmm-f64": "cec5211040ca134c064fc333fb4805195791920420edcae5d89bd8e9c470a366",
+    "sage-spmm-f32": "3452b03914c9f6b31c72de8f2f4f9ac8fe4e476c86a2343862e3a8c74b33bbc4",
 }
 
 
@@ -479,6 +487,15 @@ class TestPinnedChecks:
         text = capsys.readouterr().out + f"exit {code}\n"
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_CHECKS[f"{name}-{precision}"]
+
+
+def test_every_pipeline_is_pinned():
+    # a pipeline cannot land without its report digest and a check digest
+    # at each precision
+    names = sorted(f"{m.value}-{c.value}" for m, c in models.PIPELINES)
+    assert sorted(PINNED_REPORTS) == names
+    assert sorted(PINNED_CHECKS) == sorted(f"{name}-{precision}" for name in names
+                                           for precision in bench.PRECISIONS)
 
 
 # SHA-256 of `gnnbench datasets`' stdout: the registry table, then the
@@ -510,7 +527,7 @@ class TestDatasetsCommand:
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
-        assert cli.main(["run", "--model", "sage", "--comp", "spmm"]) == 2
+        assert cli.main(["run", "--layers", "0"]) == 2
 
     def test_data_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "edges.txt"
@@ -552,6 +569,43 @@ class TestExitCodes:
             cli.EXIT_USAGE == 2
         assert capsys.readouterr().err == \
             "error: output: expected a path, or - for stdout, got ''\n"
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_fails_before_drawing(self, command, form, target,
+                                                    tmp_path, monkeypatch, capsys):
+        def no_draw(*args):
+            raise AssertionError("drew a dataset for a report it cannot write")
+        monkeypatch.setattr(data, "gen_er_graph", no_draw)
+        monkeypatch.setattr(data, "gen_features", no_draw)
+        path, message = {
+            "missing-directory": (str(tmp_path / "missing" / "r.json"),
+                                  "the directory of {!r} does not exist"),
+            "directory": (str(tmp_path), "{!r} is a directory, not a report path"),
+        }[target]
+        conf = tmp_path / "bench.conf"
+        conf.write_text(f"output = {path}\n")
+        output = {"flag": ["--output", path], "file": ["--config", str(conf)]}[form]
+        assert cli.main([command, "--dataset", "er:8:0.3:1", *output]) == \
+            cli.EXIT_USAGE == 2
+        assert capsys.readouterr().err == \
+            f"error: output: {message.format(path)}\n"
+
+    def test_bare_file_name_is_in_the_working_directory(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--dataset", "er:8:0.3:1", "--repeats", "1",
+                         "--output", "r.json"]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["repeats"] == 1
+
+    def test_failed_run_writes_no_report(self, tmp_path, capsys):
+        bad = tmp_path / "edges.txt"
+        bad.write_text("zero one\n")
+        out = tmp_path / "r.json"
+        assert cli.main(["run", "--dataset", f"{bad},{tmp_path / 'x.csv'}",
+                         "--output", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_refused_allocation_is_data_error(self, command, monkeypatch, capsys):
@@ -639,18 +693,21 @@ class TestFlagFileParity:
 
 
 class TestPipelineRule:
-    def test_cli_and_spec_give_one_message(self):
-        with pytest.raises(ConfigError) as from_cli:
-            cli.parse_config(["run", "--model", "sage", "--comp", "spmm"])
-        with pytest.raises(ConfigError) as from_spec:
-            ModelSpec(Model.SAGE, CompModel.SPMM, 1, (4, 4))
-        assert str(from_cli.value) == str(from_spec.value)
+    """Every model runs under every computational model."""
 
-    def test_rejected_before_loading_data(self, tmp_path, capsys):
-        missing = f"{tmp_path / 'edges.txt'},{tmp_path / 'x.csv'}"
+    @pytest.mark.parametrize("model", [m.value for m in Model])
+    @pytest.mark.parametrize("comp", [c.value for c in CompModel])
+    def test_every_pair_is_a_spec(self, model, comp):
+        cfg = cli.parse_config(["run", "--model", model, "--comp", comp])
+        spec = cli.build_model_spec(cfg, 4)
+        assert (spec.model, spec.comp_model) in models.PIPELINES
+
+    def test_sage_spmm_runs(self, capsys):
         assert cli.main(["run", "--model", "sage", "--comp", "spmm",
-                         "--dataset", missing]) == 2
-        assert "formulation" in capsys.readouterr().err
+                         "--dataset", "er:12:0.3:1", "--repeats", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["spec"]["model"], doc["spec"]["comp"]) == ("sage", "spmm")
+        assert [k["name"] for k in doc["kernels"]] == ["sgemm", "spmm", "other"]
 
 
 class TestPrecisions:
@@ -804,7 +861,7 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--bogus", "1"])
         assert exc.value.code == 2
-        assert cli.main(["run", "--model", "sage", "--comp", "spmm"]) == 2
+        assert cli.main(["run", "--layers", "0"]) == 2
         assert cli.main(["run", "--warmup", "2"]) == 0
         assert seen[-1] == cli.CliConfig(warmup=2)
 

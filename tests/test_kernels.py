@@ -569,3 +569,21 @@ class TestSgemmBlocks:
             tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
         assert peak < 2 * got.nbytes
+
+
+class TestNoFusedMultiplyAdd:
+    """Every pinned digest assumes the compiled loop rounds each product
+    before it adds it. For the row ``[1, 1 + 2**-27]`` times the column
+    ``[-1, 1 - 2**-27]`` that gives -1 + 1 = 0.0; a fused multiply-add keeps
+    the second product exact and gives -2**-54."""
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_probe_row_sums_to_zero(self, cols):
+        row = np.array([1.0, 1.0 + 2.0**-27])
+        column = np.array([-1.0, 1.0 - 2.0**-27])
+        x = np.repeat(column[:, None], cols, axis=1)
+        a = CsrGraph(1, 2, [0, 2], [0, 1], row)
+        why = ("-2**-54 means the compiled loop fuses multiply and add, so "
+               "every pinned digest would fail on this build")
+        assert spmm(a, x).tolist() == [[0.0] * cols], why
+        assert sgemm(row[None, :], x).tolist() == [[0.0] * cols], why

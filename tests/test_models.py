@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import one_layer
 from oracles import csr_to_dense, dense_layer
 
+from gnnbench import reference
 from gnnbench.bench import cast_inputs
 from gnnbench.data import gen_er_graph, gen_features
 from gnnbench.errors import ConfigError, NormalizationError, ShapeError
@@ -243,6 +245,51 @@ class TestSageLayer:
         out = one_layer("sage-mp", g, x, params, Activation.RELU)
         assert np.abs(out_p - out[inv]).max() <= 1e-9
 
+    def test_cross_model_on_er(self):
+        g = gen_er_graph(64, 0.1, 42)
+        x = gen_features(64, 4, 9)
+        params = init_weights(spec_for("sage", "mp", (4, 8)))[0]
+        a = one_layer("sage-mp", g, x, params, Activation.RELU)
+        b = one_layer("sage-spmm", g, x, params, Activation.RELU)
+        assert np.abs(a - b).max() <= 1e-9
+
+    @staticmethod
+    def _multigraph():
+        # duplicate edges (0 -> 1 three times, 2 -> 3 twice), one self-loop
+        # twice and another once, so CSR entries undercount the edges
+        src = np.array([0, 0, 0, 2, 2, 4, 4, 3, 1, 1, 5])
+        dst = np.array([1, 1, 1, 3, 3, 4, 4, 1, 3, 1, 0])
+        return CooGraph(6, src, dst), gen_features(6, 3, 5)
+
+    def _spmm_vs_dense_reference(self, g, x):
+        spec = spec_for("sage", "spmm", (3, 4, 2), eps=0.375, seed=3)
+        params = init_weights(spec)
+        got = forward(spec, params, g, x)
+        return np.abs(got - reference.dense_forward(spec, params, g, x)).max()
+
+    def test_spmm_mean_counts_duplicate_edges(self):
+        g, x = self._multigraph()
+        assert self._spmm_vs_dense_reference(g, x) <= 1e-9
+
+    def test_entry_count_divisor_is_caught(self, monkeypatch):
+        # dividing by each CSR row's entry count instead of the edge
+        # multiplicity is wrong on a multigraph; the test above must see it
+        def entry_count_edges(g, eps):
+            looped = add_self_loops(g)
+            entries = np.diff(coo_to_csr(looped).row_ptr)[looped.dst]
+            return CooGraph(g.num_nodes, looped.src, looped.dst, 1.0 / entries)
+        key = Model.SAGE, CompModel.SPMM
+        monkeypatch.setitem(PIPELINES, key,
+                            PIPELINES[key]._replace(edges=entry_count_edges))
+        g, x = self._multigraph()
+        assert self._spmm_vs_dense_reference(g, x) > 1e-3
+
+    def test_spmm_at_f32_stays_f32(self):
+        spec = spec_for("sage", "spmm", (3, 4))
+        g_t, x_t, params = cast_inputs(spec, *self._multigraph(), "f32")
+        assert prepare(spec, g_t).values.dtype == np.float32
+        assert forward(spec, params, g_t, x_t).dtype == np.float32
+
 
 class TestDenseOracle:
     @pytest.mark.parametrize("name", PIPELINE_NAMES,
@@ -358,9 +405,8 @@ class TestActivations:
 
 
 class TestSpecValidation:
-    def test_sage_spmm_rejected(self):
-        with pytest.raises(ConfigError, match="spmm"):
-            spec_for("sage", "spmm", (3, 3))
+    def test_every_model_runs_under_every_computational_model(self):
+        assert set(PIPELINES) == set(itertools.product(Model, CompModel))
 
     def test_dims_length(self):
         with pytest.raises(ConfigError):
@@ -401,11 +447,15 @@ def _expected_edges(name, g, eps):
         return CooGraph(g.num_nodes, np.concatenate([g.src, nodes]),
                         np.concatenate([g.dst, nodes]),
                         np.concatenate([g.weights, loop_w]))
-    if name == "sage-mp":
-        # the neighbor mean weighs each looped edge by one
+    if name.startswith("sage"):
+        # the neighbor mean weighs each looped edge by one under MP, and by
+        # one over its destination's looped in-degree under SpMM
         looped = add_self_loops(g)
-        return CooGraph(g.num_nodes, looped.src, looped.dst,
-                        np.ones(looped.num_edges, dtype=g.weights.dtype))
+        w = np.ones(looped.num_edges, dtype=g.weights.dtype)
+        if name == "sage-spmm":
+            for i, v in enumerate(looped.dst):
+                w[i] /= np.count_nonzero(looped.dst == v)
+        return CooGraph(g.num_nodes, looped.src, looped.dst, w)
     return {"gcn-mp": normalized_edges(g), "gcn-spmm": normalized_edges(g),
             "gin-mp": g}[name]
 
@@ -504,6 +554,7 @@ PINNED_OUTPUTS = {
     "gin-mp": "2cc9a281579c6b20e54a653b970a922cd7ab55e16d68f57045266ca46fadef5b",
     "gin-spmm": "9f117915bcd134ab3ba290f9d85123d6eb18da2e400c760b4d2b7b94e874b371",
     "sage-mp": "8fcf738b020a403c7d8b1f975ba4ebf6b2cef28be1a788f2cb29fb2faf1b39dc",
+    "sage-spmm": "da8753c26e37f20812991d42f158d731b451700beaecde22767dc8e9d0c1ebba",
 }
 
 
@@ -555,6 +606,7 @@ PINNED_CONTEXTS = {
     "gin-mp": "e89fc6683dd5a2b0dc5ce7605af6a518e7e19718648aaa68cb396b4289ab2d62",
     "gin-spmm": "efda2c949b0777e30de8e1caa5bba4510ea11c5540c9dc772488be8b89a73e93",
     "sage-mp": "571240a88eb76dbe90e4b3dd5b62e5084e654af2451584b71c395aa36312f543",
+    "sage-spmm": "cdc7509c3aadc5fbd677fe9dffeec7a5cf81e5b88a4f50734c90e2fe62a1f9f0",
 }
 
 
@@ -576,3 +628,8 @@ class TestPinnedContexts:
                     digest.update(repr(a.shape).encode())
                     digest.update(a.tobytes())
         assert digest.hexdigest() == PINNED_CONTEXTS[name]
+
+
+def test_every_pipeline_is_pinned():
+    # a pipeline cannot land without its output and context digests
+    assert sorted(PINNED_OUTPUTS) == sorted(PINNED_CONTEXTS) == PIPELINE_NAMES
