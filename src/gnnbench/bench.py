@@ -57,7 +57,6 @@ from .models import ModelSpec
 
 __all__ = [
     "REPORT_VERSION",
-    "KERNEL_ORDER",
     "OTHER",
     "KernelStats",
     "RunReport",
@@ -125,9 +124,6 @@ class RunReport:
         }
 
 
-KERNEL_ORDER = tuple(kernels.KERNELS)
-
-
 class Instrumentation:
     """Kernel dispatcher that times calls and attributes operation counts.
 
@@ -169,10 +165,12 @@ def _narrowed(cast, what: str, precision: str):
 
 def cast_inputs(spec: ModelSpec, g: CooGraph, x: np.ndarray, precision: str):
     """``(g, x, init_weights(spec))``, each cast to the precision's dtype;
-    FormatError if an edge weight or feature value overflows it."""
+    FormatError if an edge weight, a feature value or ``1 + epsilon`` (GIN's
+    self weight, which its pipelines build in that dtype) overflows it."""
     if precision not in PRECISIONS:
         raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
     dtype, _ = PRECISIONS[precision]
+    _narrowed(lambda: dtype(1.0 + spec.epsilon), "1 + epsilon", precision)
     return (_narrowed(lambda: g.astype(dtype), "an edge weight", precision),
             _narrowed(lambda: np.ascontiguousarray(np.asarray(x), dtype=dtype),
                       "a feature value", precision),
@@ -222,7 +220,7 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
             kernel_ns[k] = kernel_ns.get(k, 0) + ns
 
     per_kernel = [KernelStats(k, first[k][0], kernel_ns[k] / repeats, first[k][1])
-                  for k in KERNEL_ORDER if k in first]
+                  for k in kernels.KERNELS if k in first]
     other_ns = total_ns - sum(kernel_ns.values())
     per_kernel.append(KernelStats(OTHER, 1, other_ns / repeats, OpCounters()))
 

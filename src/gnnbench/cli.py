@@ -10,16 +10,23 @@ Subcommands:
   each kernel with its short form as ``gnnbench.kernels.KERNELS`` lists it.
 
 Each parameter is one :class:`CliConfig` field, which declares its
-default and its parser; the flags and the config-file keys are derived from
-those fields. A parameter resolves with precedence: command-line flag, then
-config-file entry, then the field default, and a flag value and a file
-value go through the same parser; a flag value may start with ``-``, as
-in ``--epsilon -1e-3``. The config file is plain UTF-8 ``key = value``
-lines, where keys equal the long flag names; a ``#`` starts a comment at
-the start of a line or after whitespace, so ``output = out#1.json`` keeps
-its ``#``. The file is named by ``--config``, else by the ``GSUITE_CONFIG``
-environment variable, which ``_resolve_config`` alone reads, so
-:func:`parse_config` and :func:`main` resolve the same configuration.
+default, its parser and the subcommands that read it; the flags and the
+config-file keys are derived from those fields. A subcommand takes the
+flags of its own settings only: ``run`` takes all 13, and ``check``,
+which neither times a run nor writes a report, takes no ``--repeats``,
+``--warmup``, ``--output`` or ``--format`` and exits 2 on one. A parameter
+resolves with precedence: command-line flag, then config-file entry, then
+the field default, and a flag value and a file value go through the same
+parser; a flag value may start with ``-``, as in ``--epsilon -1e-3``. The
+config file is plain UTF-8 ``key = value`` lines, where keys equal the
+long flag names; a ``#`` starts a comment at the start of a line or after
+whitespace, so ``output = out#1.json`` keeps its ``#``. A file is one
+document, validated whole whichever subcommand reads it, and each
+subcommand applies the keys it reads, so one file serves ``run`` and
+``check`` alike. The file is named by ``--config``, else by the
+``GSUITE_CONFIG`` environment variable, which ``_resolve_config`` alone
+reads, so :func:`parse_config` and :func:`main` resolve the same
+configuration.
 Validation is fail-fast: nothing is computed until the whole configuration
 is resolved and checked, so an ``output`` that is empty, names a directory
 or lies in a missing one is a configuration error rather than a path that
@@ -110,18 +117,25 @@ def _parse_float(key: str, value) -> float:
     return x
 
 
-def _setting(default, parse, metavar=None, help=None):
-    """A CliConfig field: its default, and the parser of a flag or file value."""
+# The subcommands that read a setting: every subcommand runs a pipeline,
+# and only ``run`` times it and writes a report.
+_PIPELINE = ("run", "check")
+_REPORT = ("run",)
+
+
+def _setting(default, parse, metavar=None, help=None, commands=_PIPELINE):
+    """A CliConfig field: its default, the parser of a flag or file value,
+    and the subcommands that read it, which alone take its flag."""
     return dataclasses.field(default=default, metadata={
-        "parse": parse, "metavar": metavar, "help": help})
+        "parse": parse, "metavar": metavar, "help": help, "commands": commands})
 
 
-def _count(default, minimum):
+def _count(default, minimum, commands=_PIPELINE):
     return _setting(default, lambda key, value: _parse_int(key, value, minimum),
-                    metavar="N")
+                    metavar="N", commands=commands)
 
 
-def _choice(default, choices):
+def _choice(default, choices, commands=_PIPELINE):
     """A case-insensitive choice, stored lower-case; ``choices`` holds
     strings or the members of an Enum whose values are the choices."""
     choices = tuple(getattr(c, "value", c) for c in choices)
@@ -133,7 +147,7 @@ def _choice(default, choices):
                 f"{key}: expected one of {'|'.join(choices)}, got {value!r}")
         return out
 
-    return _setting(default, parse, metavar="{" + "|".join(choices) + "}")
+    return _setting(default, parse, "{" + "|".join(choices) + "}", commands=commands)
 
 
 def _text(key, value) -> str:
@@ -156,7 +170,8 @@ def _path(key, value) -> str:
 
 @dataclasses.dataclass
 class CliConfig:
-    """Every pipeline setting; each is a flag and a config-file key alike."""
+    """Every setting; each is a config-file key, and a flag of the
+    subcommands its ``commands`` metadata names."""
 
     model: str = _choice("gcn", models.Model)
     comp: str = _choice("mp", models.CompModel)
@@ -166,12 +181,13 @@ class CliConfig:
     hidden: int = _count(16, minimum=1)
     epsilon: float = _setting(0.0, _parse_float, metavar="X")
     activation: str = _choice("relu", models.Activation)
-    repeats: int = _count(3, minimum=1)
+    repeats: int = _count(3, minimum=1, commands=_REPORT)
     seed: int = _setting(0, _parse_seed, metavar="U64")
     precision: str = _choice("f64", bench.PRECISIONS)
-    output: str = _setting("-", _path, help="report path, or - for stdout")
-    format: str = _choice("json", bench.REPORT_WRITERS)
-    warmup: int = _count(0, minimum=0)
+    output: str = _setting("-", _path, help="report path, or - for stdout",
+                           commands=_REPORT)
+    format: str = _choice("json", bench.REPORT_WRITERS, commands=_REPORT)
+    warmup: int = _count(0, minimum=0, commands=_REPORT)
 
 
 _SETTINGS = {f.name: f for f in dataclasses.fields(CliConfig)}
@@ -222,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         # flags stay strings here: each value goes through its field's
         # parser, exactly as a config-file value does
         for f in _SETTINGS.values():
-            p.add_argument(f"--{f.name}", metavar=f.metadata["metavar"],
-                           help=f.metadata["help"])
+            if name in f.metadata["commands"]:
+                p.add_argument(f"--{f.name}", metavar=f.metadata["metavar"],
+                               help=f.metadata["help"])
         p.add_argument("--config", help="config file path")
     sub.add_parser("datasets", help="print the dataset registry")
     return parser
@@ -257,7 +274,7 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
 
     resolved = {}
     for f in _SETTINGS.values():  # flag, then file entry, then the field default
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)  # absent: not a flag of this subcommand
         if value is None:
             value = file_entries.get(f.name)
         if value is not None:

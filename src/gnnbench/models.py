@@ -43,8 +43,10 @@ property and is enforced by the test suite and the ``check`` CLI command.
 
 Weights are dense matrices drawn uniformly from [-1/sqrt(f_in),
 +1/sqrt(f_in)] by a SplitMix64 stream keyed on (seed, layer, role), so a
-given ``ModelSpec`` always produces bit-identical weights. There are no
-bias terms.
+given ``ModelSpec`` always produces bit-identical weights. The matrices
+and their roles belong to the model (``_WEIGHTS``), not to the pipeline, so
+both computational models of a model run on the same weights, as ``check``
+compares them. There are no bias terms.
 """
 
 from __future__ import annotations
@@ -211,12 +213,11 @@ def init_weights(spec: ModelSpec) -> list:
     keyed by (seed, layer index, matrix role), so identical specs yield
     bit-identical weights and different seeds decorrelate.
     """
-    weights = PIPELINES[spec.model, spec.comp_model].weights
     params = []
     for layer in range(spec.num_layers):
         f_in, f_out = spec.dims[layer], spec.dims[layer + 1]
         mats = {name: _draw_matrix(spec.seed, layer, role, f_in, f_out)
-                for name, role in weights}
+                for name, role in _WEIGHTS[spec.model]}
         params.append(LayerParams(**mats))
     return params
 
@@ -279,25 +280,25 @@ class Pipeline(NamedTuple):
 
     edges: Callable    # (g, epsilon) -> the CooGraph the layers aggregate over
     update: Callable   # (ctx, x, layer params, epsilon, kernels) -> x' unactivated
-    weights: tuple     # (LayerParams field, weight stream role) per matrix
 
-
-# The role ids key the weight streams, so they must never change.
-_THETA = (("theta", 0),)
-_SELF_AND_NEIGHBOR = (("w1", 1), ("w2", 2))
 
 PIPELINES = {
     (Model.GCN, CompModel.MP): Pipeline(lambda g, eps: normalized_edges(g),
-                                        _gcn_mp_update, _THETA),
+                                        _gcn_mp_update),
     (Model.GCN, CompModel.SPMM): Pipeline(lambda g, eps: normalized_edges(g),
-                                          _spmm_update, _THETA),
-    (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_update, _THETA),
-    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_update, _THETA),
-    (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_update,
-                                         _SELF_AND_NEIGHBOR),
-    (Model.SAGE, CompModel.SPMM): Pipeline(_sage_spmm_edges, _sage_spmm_update,
-                                           _SELF_AND_NEIGHBOR),
+                                          _spmm_update),
+    (Model.GIN, CompModel.MP): Pipeline(lambda g, eps: g, _gin_mp_update),
+    (Model.GIN, CompModel.SPMM): Pipeline(_gin_spmm_edges, _spmm_update),
+    (Model.SAGE, CompModel.MP): Pipeline(_sage_edges, _sage_mp_update),
+    (Model.SAGE, CompModel.SPMM): Pipeline(_sage_spmm_edges, _sage_spmm_update),
 }
+
+# Each model's weight matrices, as (LayerParams field, weight stream role);
+# both computational models of a model run on the same weights. The role
+# ids key the weight streams, so they must never change.
+_THETA = (("theta", 0),)
+_WEIGHTS = {Model.GCN: _THETA, Model.GIN: _THETA,
+            Model.SAGE: (("w1", 1), ("w2", 2))}
 
 
 # How each computational model lays out a pipeline's edges, as (ctx type,
@@ -316,14 +317,14 @@ def prepare(spec: ModelSpec, g: CooGraph) -> MessagePassing | CsrGraph:
     return build(PIPELINES[spec.model, spec.comp_model].edges(g, spec.epsilon))
 
 
-def _check_params(spec: ModelSpec, weights: tuple, params: Sequence[LayerParams]):
+def _check_params(spec: ModelSpec, params: Sequence[LayerParams]):
     if len(params) != spec.num_layers:
         raise ShapeError(
             f"expected {spec.num_layers} layer params, got {len(params)}"
         )
     for i, p in enumerate(params):
         want = (spec.dims[i], spec.dims[i + 1])
-        for name, _ in weights:
+        for name, _ in _WEIGHTS[spec.model]:
             m = getattr(p, name)
             if m is None or m.shape != want:
                 got = None if m is None else m.shape
@@ -363,7 +364,7 @@ def forward(spec: ModelSpec, params: Sequence[LayerParams], g: CooGraph,
             f"input feature width {x.shape[1]} != dims[0] = {spec.dims[0]}"
         )
     pipeline = PIPELINES[spec.model, spec.comp_model]
-    _check_params(spec, pipeline.weights, params)
+    _check_params(spec, params)
     if ctx is None:
         ctx = prepare(spec, g)
     else:

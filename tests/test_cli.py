@@ -27,6 +27,30 @@ def strip_timing(doc: dict) -> dict:
     return out
 
 
+# The settings only `run` reads: it times the forward and writes a report,
+# and `check` does neither.
+RUN_ONLY = {"repeats", "warmup", "output", "format"}
+
+# Each setting's subcommands, as its CliConfig metadata declares them.
+READERS = {f.name: f.metadata["commands"] for f in dataclasses.fields(cli.CliConfig)}
+
+
+def exit_code(argv) -> int:
+    """What ``gnnbench`` exits with: main's return, or argparse's exit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def no_draw(monkeypatch, why: str):
+    """Make drawing a synthetic dataset fail the test."""
+    def fail(*args):
+        raise AssertionError(f"drew a dataset {why}")
+    monkeypatch.setattr(data, "gen_er_graph", fail)
+    monkeypatch.setattr(data, "gen_features", fail)
+
+
 class TestParseConfig:
     def test_builtin_defaults(self):
         cfg = cli.parse_config(["run"])
@@ -557,28 +581,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("form", ["flag", "flag-pair", "file"])
     def test_empty_output_fails_before_drawing(self, command, form, tmp_path,
                                                monkeypatch, capsys):
-        def no_draw(*args):
-            raise AssertionError("drew a dataset for a run with no report path")
-        monkeypatch.setattr(data, "gen_er_graph", no_draw)
-        monkeypatch.setattr(data, "gen_features", no_draw)
+        no_draw(monkeypatch, "for a run with no report path")
         conf = tmp_path / "bench.conf"
         conf.write_text("output =\n")
         output = {"flag": ["--output="], "flag-pair": ["--output", ""],
                   "file": ["--config", str(conf)]}[form]
-        assert cli.main([command, "--dataset", "er:8:0.3:1", *output]) == \
+        assert exit_code([command, "--dataset", "er:8:0.3:1", *output]) == \
             cli.EXIT_USAGE == 2
-        assert capsys.readouterr().err == \
-            "error: output: expected a path, or - for stdout, got ''\n"
+        err = capsys.readouterr().err
+        if command == "check" and form != "file":  # check takes no --output
+            assert err.endswith("error: unrecognized arguments: --output=\n")
+        else:  # a config file is validated whole, whoever reads it
+            assert err == "error: output: expected a path, or - for stdout, got ''\n"
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("form", ["flag", "file"])
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     def test_unwritable_output_fails_before_drawing(self, command, form, target,
                                                     tmp_path, monkeypatch, capsys):
-        def no_draw(*args):
-            raise AssertionError("drew a dataset for a report it cannot write")
-        monkeypatch.setattr(data, "gen_er_graph", no_draw)
-        monkeypatch.setattr(data, "gen_features", no_draw)
+        no_draw(monkeypatch, "for a report it cannot write")
         path, message = {
             "missing-directory": (str(tmp_path / "missing" / "r.json"),
                                   "the directory of {!r} does not exist"),
@@ -587,10 +608,13 @@ class TestExitCodes:
         conf = tmp_path / "bench.conf"
         conf.write_text(f"output = {path}\n")
         output = {"flag": ["--output", path], "file": ["--config", str(conf)]}[form]
-        assert cli.main([command, "--dataset", "er:8:0.3:1", *output]) == \
+        assert exit_code([command, "--dataset", "er:8:0.3:1", *output]) == \
             cli.EXIT_USAGE == 2
-        assert capsys.readouterr().err == \
-            f"error: output: {message.format(path)}\n"
+        err = capsys.readouterr().err
+        if command == "check" and form == "flag":  # check takes no --output
+            assert err.endswith(f"error: unrecognized arguments: --output={path}\n")
+        else:  # a config file is validated whole, whoever reads it
+            assert err == f"error: output: {message.format(path)}\n"
 
     def test_bare_file_name_is_in_the_working_directory(self, tmp_path,
                                                         monkeypatch):
@@ -653,17 +677,57 @@ SPELLINGS = {
 class TestFlagFileParity:
     def test_every_setting_has_spellings(self):
         assert set(SPELLINGS) == {f.name for f in dataclasses.fields(cli.CliConfig)}
+        assert READERS == {name: ("run",) if name in RUN_ONLY else ("run", "check")
+                           for name in SPELLINGS}
 
     @pytest.mark.parametrize("key,text,expected", [
         (key, text, expected) for key, cases in SPELLINGS.items()
         for text, expected in cases])
     def test_flag_and_file_resolve_alike(self, key, text, expected, tmp_path):
+        # under each subcommand that takes the flag
         conf = tmp_path / "bench.conf"
         conf.write_text(f"{key} = {text}\n")
-        from_flag = cli.parse_config(["run", f"--{key}", text])
-        from_file = cli.parse_config(["run", "--config", str(conf)])
-        assert from_flag == from_file
-        assert getattr(from_flag, key) == expected
+        for command in READERS[key]:
+            from_flag = cli.parse_config([command, f"--{key}", text])
+            from_file = cli.parse_config([command, "--config", str(conf)])
+            assert from_flag == from_file
+            assert getattr(from_flag, key) == expected
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["pair", "joined"])
+    @pytest.mark.parametrize("key", sorted(RUN_ONLY))
+    def test_check_rejects_run_only_flags(self, key, joined, monkeypatch, capsys):
+        no_draw(monkeypatch, "for a flag check does not take")
+        text = SPELLINGS[key][0][0]
+        flag = [f"--{key}={text}"] if joined else [f"--{key}", text]
+        assert exit_code(["check", "--dataset", "er:8:0.3:1", *flag]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: --{key}={text}\n")
+
+    def test_one_file_serves_both_subcommands(self, tmp_path, capsys):
+        # a subcommand applies the keys it reads, so a file may hold all 13
+        report = tmp_path / "r.csv"
+        conf = tmp_path / "bench.conf"
+        conf.write_text(
+            "model = gin\ncomp = spmm\ndataset = er:12:0.3:1\nlayers = 1\n"
+            "hidden = 4\nepsilon = 0.5\nactivation = sigmoid\nrepeats = 2\n"
+            f"seed = 11\nprecision = f32\noutput = {report}\nformat = csv\n"
+            "warmup = 1\n")
+        assert set(cli.read_config_file(str(conf))) == set(SPELLINGS)
+        assert cli.main(["check", "--config", str(conf)]) == 0
+        assert capsys.readouterr().out.startswith("PASS determinism")
+        assert not report.exists()
+        assert cli.main(["run", "--config", str(conf)]) == 0
+        assert report.read_text().startswith("kernel,calls,mean_ns")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_malformed_run_only_entry_fails_both(self, command, tmp_path,
+                                                 monkeypatch, capsys):
+        no_draw(monkeypatch, "for a malformed config file")
+        conf = tmp_path / "bench.conf"
+        conf.write_text("dataset = er:8:0.3:1\nrepeats = many\n")
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == \
+            "error: repeats: expected an integer, got 'many'\n"
 
     def test_bad_flag_value_is_config_error(self, capsys):
         with pytest.raises(ConfigError, match="layers"):
@@ -677,7 +741,11 @@ class TestFlagFileParity:
             cli.main([command, "--help"])
         usage = capsys.readouterr().out.split("options:")[0]
         flags = set(re.findall(r"--([a-z_]+)", usage)) - {"help"}
-        assert flags == {f.name for f in dataclasses.fields(cli.CliConfig)} | {"config"}
+        settings = {f.name for f in dataclasses.fields(cli.CliConfig)}
+        if command == "check":
+            settings -= RUN_ONLY
+        assert len(settings) == {"run": 13, "check": 9}[command]
+        assert flags == settings | {"config"}
 
     @pytest.mark.parametrize("argv", [["--eps", "0.5"], ["--eps", "-1e-3"],
                                       ["--eps=0.5"]])
@@ -690,6 +758,28 @@ class TestFlagFileParity:
         conf = tmp_path / "bench.conf"
         conf.write_text("eps = 0.5\n")
         assert cli.main([command, "--config", str(conf)]) == 2
+
+
+class TestSettingReaders:
+    """A setting's ``commands`` metadata is what gives it a subcommand's
+    flag, so it must name exactly the subcommands whose bodies read it."""
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_each_subcommand_reads_exactly_its_settings(self, command, capsys):
+        read = set()
+
+        class Recording(cli.CliConfig):
+            def __getattribute__(self, name):
+                if name in READERS:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        cfg = Recording(dataset="er:12:0.3:1", repeats=1)
+        read.clear()
+        assert getattr(cli, command)(cfg) == 0
+        assert read == {name for name, commands in READERS.items()
+                        if command in commands}
+        assert len(read) == {"run": 13, "check": 9}[command]
 
 
 class TestPipelineRule:
@@ -751,12 +841,38 @@ class TestPrecisions:
             bench.cast_inputs(spec, g, np.ones((2, 2)), "f32")
 
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("comp", ["mp", "spmm"])
+    def test_f32_epsilon_overflow_is_a_data_error(self, command, comp, tmp_path,
+                                                  monkeypatch, capsys):
+        # 1 + eps became an inf self weight: GIN-MP reported all-inf output,
+        # and GIN-SpMM blamed an edge the input does not have
+        def no_forward(*args, **kwargs):
+            raise AssertionError("ran a forward on an out-of-range epsilon")
+        monkeypatch.setattr(models, "forward", no_forward)
+        out = tmp_path / "r.json"
+        argv = [command, "--model", "gin", "--comp", comp, "--dataset",
+                "er:12:0.3:1", "--precision", "f32", "--epsilon", "1e300"]
+        if command == "run":
+            argv += ["--output", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA == 3
+        assert capsys.readouterr().err == \
+            "error: 1 + epsilon is outside the f32 range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("precision,epsilon", [("f64", 1e300), ("f32", 3e38)])
+    def test_epsilon_in_range_passes_the_cast(self, precision, epsilon):
+        spec = ModelSpec(Model.GIN, CompModel.SPMM, 1, (2, 2), epsilon=epsilon)
+        g = CooGraph(2, np.array([0]), np.array([1]))
+        bench.cast_inputs(spec, g, np.ones((2, 2)), precision)
+
+
 class TestKernelLegend:
     def test_each_report_kernel_once_with_a_distinct_short_form(self, capsys):
         assert cli.main(["datasets"]) == 0
         legend = capsys.readouterr().out.splitlines()[-1]
         pairs = re.findall(r"(\w+) \((\w+)\)", legend)
-        assert tuple(name for name, _ in pairs) == bench.KERNEL_ORDER
+        assert tuple(name for name, _ in pairs) == tuple(kernels.KERNELS)
         shorts = [short for _, short in pairs]
         assert shorts == ["is", "sc", "sg", "sp"]
         for short in shorts:

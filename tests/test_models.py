@@ -81,6 +81,13 @@ class TestInitWeights:
         assert sage.theta is None and sage.w1 is not None and sage.w2 is not None
         assert sage.w1.tobytes() != sage.w2.tobytes()
 
+    @pytest.mark.parametrize("model", [m.value for m in Model])
+    def test_both_computational_models_draw_the_same_weights(self, model):
+        # check gives one params list to both computational models
+        mp, spmm = (init_weights(spec_for(model, comp.value, (4, 8, 2), seed=3))
+                    for comp in CompModel)
+        assert mp == spmm
+
     @pytest.mark.parametrize("name", PIPELINE_NAMES)
     def test_params_compare_by_bytes(self, name):
         spec = spec_for(*name.split("-"), (4, 8, 2))
