@@ -245,7 +245,7 @@ class TestNormalizedWeights:
             normalized_edges(g)
 
 
-class TestNormalizedAdjacency:
+class TestNormalizedCsr:
     def test_single_node(self):
         a = normalized_csr(CooGraph(1, [], []))
         assert csr_to_dense(a).tolist() == [[1.0]]
