@@ -190,6 +190,8 @@ def instrumented_run(spec: ModelSpec, g: CooGraph, x: np.ndarray,
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     record = dataset if dataset is not None else DatasetRecord(
         "custom", "XX", g.num_nodes, x.shape[1], g.num_edges, "synthetic")
 

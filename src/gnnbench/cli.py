@@ -14,19 +14,21 @@ default, its parser and the subcommands that read it; the flags and the
 config-file keys are derived from those fields. A subcommand takes the
 flags of its own settings only: ``run`` takes all 13, and ``check``,
 which neither times a run nor writes a report, takes no ``--repeats``,
-``--warmup``, ``--output`` or ``--format`` and exits 2 on one. A parameter
-resolves with precedence: command-line flag, then config-file entry, then
-the field default, and a flag value and a file value go through the same
-parser; a flag value may start with ``-``, as in ``--epsilon -1e-3``. The
-config file is plain UTF-8 ``key = value`` lines, where keys equal the
-long flag names; a ``#`` starts a comment at the start of a line or after
-whitespace, so ``output = out#1.json`` keeps its ``#``. A file is one
-document, validated whole whichever subcommand reads it, and each
-subcommand applies the keys it reads, so one file serves ``run`` and
-``check`` alike. The file is named by ``--config``, else by the
-``GSUITE_CONFIG`` environment variable, which ``_resolve_config`` alone
-reads, so :func:`parse_config` and :func:`main` resolve the same
-configuration.
+``--warmup``, ``--output`` or ``--format``. The chosen subcommand's own
+parser judges every token after its name, so a flag it does not take exits
+2 under that subcommand's usage, named as typed. A parameter resolves with
+precedence: command-line flag, then config-file entry, then the field
+default, and a flag value and a file value go through the same parser; a
+flag value may start with ``-``, as in ``--epsilon -1e-3``, and so may the
+``--config`` path. The config file is plain UTF-8 ``key = value`` lines,
+where keys equal the long flag names and each is set once; a ``#`` starts
+a comment at the start of a line or after whitespace, so ``output =
+out#1.json`` keeps its ``#``. A file is one document, validated whole
+whichever subcommand reads it, and each subcommand applies the keys it
+reads, so one file serves ``run`` and ``check`` alike. The file is named
+by ``--config``, else by the ``GSUITE_CONFIG`` environment variable, which
+``_resolve_config`` alone reads, so :func:`parse_config` and :func:`main`
+resolve the same configuration.
 Validation is fail-fast: nothing is computed until the whole configuration
 is resolved and checked, so an ``output`` that is empty, names a directory
 or lies in a missing one is a configuration error rather than a path that
@@ -36,8 +38,9 @@ it are one ``bench.PRECISIONS`` entry.
 ``--dataset`` is classified in one place, ``_dataset_loader``, which checks
 the spec and returns the zero-argument loader of its kind (an ``er:``
 generator, a file pair's reader, or a registry preset's, which fails with
-a data error); resolving the configuration only classifies, and
-:func:`resolve_dataset` calls the loader.
+a data error). The field's parser classifies the spec as the configuration
+resolves, like every other setting's, and :func:`resolve_dataset` calls
+the loader.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (an unreadable or malformed input, or an allocation numpy is refused, such
@@ -150,7 +153,8 @@ def _choice(default, choices, commands=_PIPELINE):
     return _setting(default, parse, "{" + "|".join(choices) + "}", commands=commands)
 
 
-def _text(key, value) -> str:
+def _dataset(key, value) -> str:
+    _dataset_loader(value)  # classifies the spec; nothing is read or drawn
     return value
 
 
@@ -175,7 +179,7 @@ class CliConfig:
 
     model: str = _choice("gcn", models.Model)
     comp: str = _choice("mp", models.CompModel)
-    dataset: str = _setting("er:64:0.1:42", _text, help="preset name, "
+    dataset: str = _setting("er:64:0.1:42", _dataset, help="preset name, "
                             "er:<n>:<p>:<seed>[:<f>], or <edges_path>,<features_path>")
     layers: int = _count(2, minimum=1)
     hidden: int = _count(16, minimum=1)
@@ -218,8 +222,31 @@ def read_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set twice")
         entries[key] = value
     return entries
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: argparse hands it every token after the
+    subcommand's name through ``parse_known_args``, and it rejects, as
+    typed and under its own usage, any it does not take. argparse takes a
+    value that starts with "-" for an option, so each ``<flag> <value>``
+    pair of ``value_flags`` reaches argparse as one ``<flag>=<value>``."""
+
+    value_flags = frozenset()
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        tokens = iter(args)
+        for token in tokens:
+            value = next(tokens, None) if token in self.value_flags else None
+            joined.append(token if value is None else f"{token}={value}")
+        namespace, extras = super().parse_known_args(joined, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 @functools.cache
@@ -230,39 +257,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gnnbench",
         description="Framework-independent GNN inference benchmark.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
     for name, summary in (("run", "run an instrumented benchmark"),
                           ("check", "run the equivalence and determinism checks")):
         # no prefix matching: a setting has one spelling, as in a config file
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         # flags stay strings here: each value goes through its field's
         # parser, exactly as a config-file value does
-        for f in _SETTINGS.values():
-            if name in f.metadata["commands"]:
-                p.add_argument(f"--{f.name}", metavar=f.metadata["metavar"],
-                               help=f.metadata["help"])
+        own = [f for f in _SETTINGS.values() if name in f.metadata["commands"]]
+        for f in own:
+            p.add_argument(f"--{f.name}", metavar=f.metadata["metavar"],
+                           help=f.metadata["help"])
         p.add_argument("--config", help="config file path")
+        p.value_flags = {f"--{f.name}" for f in own} | {"--config"}
     sub.add_parser("datasets", help="print the dataset registry")
     return parser
-
-
-def _parse_args(argv) -> argparse.Namespace:
-    # argparse takes a value that starts with "-" for an option, so each
-    # "--<setting> <value>" pair reaches it as one "--<setting>=<value>"
-    joined = []
-    tokens = iter(argv)
-    for token in tokens:
-        value = None
-        if token.startswith("--") and token[2:] in _SETTINGS:
-            value = next(tokens, None)
-        joined.append(token if value is None else f"{token}={value}")
-    return build_parser().parse_args(joined)
 
 
 def parse_config(argv) -> CliConfig:
     """The CliConfig that :func:`main` runs for ``argv``: flags, then the
     config file (``--config``, else ``GSUITE_CONFIG``), then defaults."""
-    return _resolve_config(_parse_args(argv))
+    return _resolve_config(build_parser().parse_args(argv))
 
 
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -279,9 +295,7 @@ def _resolve_config(args: argparse.Namespace) -> CliConfig:
             value = file_entries.get(f.name)
         if value is not None:
             resolved[f.name] = f.metadata["parse"](f.name, value)
-    cfg = CliConfig(**resolved)
-    _dataset_loader(cfg.dataset)  # fail fast on malformed dataset syntax
-    return cfg
+    return CliConfig(**resolved)
 
 
 _PRESETS = {r.name.lower(): r for r in data.registry()}
@@ -462,7 +476,7 @@ _ERROR_EXITS = ((ConfigError, EXIT_USAGE), (_DATA_ERRORS, EXIT_DATA),
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "datasets":
             return datasets()
         cfg = _resolve_config(args)

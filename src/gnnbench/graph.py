@@ -54,8 +54,11 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen_floats(a) -> np.ndarray:
-    """``a`` as a read-only float array; any other dtype becomes float64."""
+    """``a`` as a read-only float array; any other dtype becomes float64.
+    A float dtype that scipy's compiled loops are not built for raises."""
     a = np.asarray(a)
+    if a.dtype.kind == "f" and a.dtype.char not in "fdg":
+        raise FormatError(f"{a.dtype} weights: expected float32, float64 or longdouble")
     return frozen(a if a.dtype.kind == "f" else a.astype(np.float64))
 
 

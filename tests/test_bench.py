@@ -219,6 +219,11 @@ class TestInstrumentedRun:
             instrumented_run(make_spec(dims=(2, 2)), gen_er_graph(4, 0.5, 1),
                              gen_features(4, 2, 1), repeats=0)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup"):
+            instrumented_run(make_spec(dims=(2, 2)), gen_er_graph(4, 0.5, 1),
+                             gen_features(4, 2, 1), warmup=-5)
+
 
 class TestInstrumentationClass:
     def test_snapshot_accumulates(self):

@@ -590,7 +590,8 @@ class TestExitCodes:
             cli.EXIT_USAGE == 2
         err = capsys.readouterr().err
         if command == "check" and form != "file":  # check takes no --output
-            assert err.endswith("error: unrecognized arguments: --output=\n")
+            assert err.endswith(
+                f"error: unrecognized arguments: {' '.join(output)}\n")
         else:  # a config file is validated whole, whoever reads it
             assert err == "error: output: expected a path, or - for stdout, got ''\n"
 
@@ -612,7 +613,8 @@ class TestExitCodes:
             cli.EXIT_USAGE == 2
         err = capsys.readouterr().err
         if command == "check" and form == "flag":  # check takes no --output
-            assert err.endswith(f"error: unrecognized arguments: --output={path}\n")
+            assert err.endswith(
+                f"error: unrecognized arguments: {' '.join(output)}\n")
         else:  # a config file is validated whole, whoever reads it
             assert err == f"error: output: {message.format(path)}\n"
 
@@ -701,7 +703,7 @@ class TestFlagFileParity:
         flag = [f"--{key}={text}"] if joined else [f"--{key}", text]
         assert exit_code(["check", "--dataset", "er:8:0.3:1", *flag]) == 2
         assert capsys.readouterr().err.endswith(
-            f"error: unrecognized arguments: --{key}={text}\n")
+            f"error: unrecognized arguments: {' '.join(flag)}\n")
 
     def test_one_file_serves_both_subcommands(self, tmp_path, capsys):
         # a subcommand applies the keys it reads, so a file may hold all 13
@@ -728,6 +730,28 @@ class TestFlagFileParity:
         assert cli.main([command, "--config", str(conf)]) == 2
         assert capsys.readouterr().err == \
             "error: repeats: expected an integer, got 'many'\n"
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_key_set_twice_fails_before_drawing(self, command, tmp_path,
+                                                monkeypatch, capsys):
+        no_draw(monkeypatch, "for a key set twice")
+        conf = tmp_path / "bench.conf"
+        conf.write_text("dataset = er:8:0.3:1\nrepeats = many\nrepeats = 1\n")
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == f"error: {conf}:3: 'repeats' is set twice\n"
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_malformed_dataset_fails_before_drawing(self, command, form, tmp_path,
+                                                    monkeypatch, capsys):
+        no_draw(monkeypatch, "for a malformed dataset spec")
+        conf = tmp_path / "bench.conf"
+        conf.write_text("dataset = er:8:0.3\n")
+        dataset = {"flag": ["--dataset", "er:8:0.3"],
+                   "file": ["--config", str(conf)]}[form]
+        assert cli.main([command, *dataset]) == 2
+        assert capsys.readouterr().err == \
+            "error: dataset: expected er:<n>:<p>:<seed>[:<f>], got 'er:8:0.3'\n"
 
     def test_bad_flag_value_is_config_error(self, capsys):
         with pytest.raises(ConfigError, match="layers"):
@@ -758,6 +782,39 @@ class TestFlagFileParity:
         conf = tmp_path / "bench.conf"
         conf.write_text("eps = 0.5\n")
         assert cli.main([command, "--config", str(conf)]) == 2
+
+
+# A flag each subcommand does not take, and a value typed after it.
+NOT_TAKEN = [("run", "--bogus", "1"), ("run", "--bogus", "-x.conf"),
+             ("check", "--repeats", "-1"), ("check", "--output", "-"),
+             ("datasets", "--seed", "3"), ("datasets", "--config", "x.conf")] + [
+    ("check", f"--{key}", SPELLINGS[key][0][0]) for key in sorted(RUN_ONLY)]
+
+
+class TestSubcommandParser:
+    """The chosen subcommand's parser judges the tokens after its name."""
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    @pytest.mark.parametrize("command,flag,value", NOT_TAKEN)
+    def test_rejected_as_typed_under_own_usage(self, command, flag, value, joined,
+                                               monkeypatch, capsys):
+        no_draw(monkeypatch, "for a flag the subcommand does not take")
+        typed = [f"{flag}={value}"] if joined else [flag, value]
+        assert exit_code([command, *typed]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: gnnbench {command} ")
+        assert lines[-1] == (f"gnnbench {command}: error: unrecognized arguments: "
+                             + " ".join(typed))
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_config_path_may_start_with_dash(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-x.conf").write_text("seed = 7\nlayers = 3\n")
+        spaced = cli.parse_config([command, "--config", "-x.conf"])
+        joined = cli.parse_config([command, "--config=-x.conf"])
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, "-x.conf")
+        assert spaced == joined == cli.parse_config([command])
+        assert (spaced.seed, spaced.layers) == (7, 3)
 
 
 class TestSettingReaders:

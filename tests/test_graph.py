@@ -373,6 +373,18 @@ class TestValidation:
         with pytest.raises(FormatError, match="non-finite"):
             CooGraph(2, np.array([0]), np.array([1]), np.array([bad], np.float32))
 
+    def test_float_dtype_without_compiled_loops_rejected(self):
+        # scipy's CSR loops have no float16 kind, so prepare would fail in
+        # its conversion
+        half = np.ones(2, np.float16)
+        with pytest.raises(FormatError, match="float16"):
+            CooGraph(3, [0, 1], [1, 2], half)
+        with pytest.raises(FormatError, match="float16"):
+            CsrGraph(2, 2, [0, 1, 2], [0, 1], half)
+        for dtype in (np.float32, np.float64, np.longdouble):
+            assert CooGraph(3, [0, 1], [1, 2], np.ones(2, dtype)).weights.dtype \
+                == dtype
+
     def test_length_mismatch(self):
         with pytest.raises(FormatError):
             CooGraph(2, np.array([0]), np.array([0, 1]), np.array([1.0]))
